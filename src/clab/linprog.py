@@ -1,16 +1,15 @@
 """Exact linear programming over the rationals.
 
-Two tools: feasibility of mixed equality / inequality systems via a phase-1
-simplex with Bland's rule (returns an exact point or Farkas multipliers), and
-projection of a polyhedron onto a coordinate subspace via Gaussian
-substitution of equalities followed by Fourier-Motzkin elimination.
+Feasibility of mixed equality / inequality systems via a phase-1 simplex
+with Bland's rule: returns an exact point or Farkas multipliers.  The
+junior-simplex pipeline uses it for regularity certificates and the
+ample-cone restriction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -134,113 +133,3 @@ def check_farkas(n, eqs, ges, y) -> bool:
             comb[j] += yi * Fraction(a[j])
         rhs += yi * Fraction(b)
     return all(c == 0 for c in comb) and rhs > 0
-
-
-# ---------------------------------------------------------------------------
-# Fourier-Motzkin projection
-
-
-def _normalize_row(a, b):
-    nums = [x.numerator for x in a if x != 0] + ([b.numerator] if b != 0 else [])
-    dens = [x.denominator for x in a] + [b.denominator]
-    if not nums:
-        return None
-    den_lcm = 1
-    for d in dens:
-        den_lcm = den_lcm * d // gcd(den_lcm, d)
-    ints = [int(x * den_lcm) for x in a] + [int(b * den_lcm)]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    ints = [x // g for x in ints]
-    return tuple(Fraction(x) for x in ints[:-1]), Fraction(ints[-1])
-
-
-def project(n, eqs, ges, keep):
-    """Project {x : a.x = b over eqs, a.x >= b over ges} onto the coordinates
-    in `keep`.  Returns (eqs', ges') with rows indexed by the full variable
-    list but supported on `keep` only.
-
-    Equalities are used first to substitute out eliminated variables; the
-    remaining eliminated variables go through Fourier-Motzkin elimination.
-    """
-    keep = set(keep)
-    elim = [j for j in range(n) if j not in keep]
-    eq_rows = [( [Fraction(c) for c in a], Fraction(b)) for a, b in eqs]
-    ge_rows = [( [Fraction(c) for c in a], Fraction(b)) for a, b in ges]
-
-    remaining_eqs = []
-    for j in list(elim):
-        pivot = None
-        for idx, (a, b) in enumerate(eq_rows):
-            if a[j] != 0:
-                pivot = idx
-                break
-        if pivot is None:
-            continue
-        pa, pb = eq_rows.pop(pivot)
-        elim.remove(j)
-
-        def substitute(row):
-            a, b = row
-            if a[j] == 0:
-                return row
-            f = a[j] / pa[j]
-            return ([c - f * d for c, d in zip(a, pa)], b - f * pb)
-
-        eq_rows = [substitute(r) for r in eq_rows]
-        ge_rows = [substitute(r) for r in ge_rows]
-
-    # leftover equalities must not involve eliminated variables with nonzero
-    # coefficient (they were consumed above); keep them as equalities
-    for a, b in eq_rows:
-        if any(a[j] != 0 for j in elim):
-            raise AssertionError("equality substitution incomplete")
-        if all(c == 0 for c in a):
-            if b != 0:
-                # inconsistent system: encode as the empty polyhedron
-                return [], [(([ZERO] * n), ONE)]
-            continue
-        remaining_eqs.append((a, b))
-
-    rows = ge_rows
-    for j in elim:
-        pos, neg, zero = [], [], []
-        for a, b in rows:
-            if a[j] > 0:
-                pos.append((a, b))
-            elif a[j] < 0:
-                neg.append((a, b))
-            else:
-                zero.append((a, b))
-        new = zero
-        for ap, bp in pos:
-            for an, bn in neg:
-                f = -an[j] / ap[j]
-                a = [f * c + d for c, d in zip(ap, an)]
-                b = f * bp + bn
-                new.append((a, b))
-        # dedupe on normalized primitive form
-        seen = set()
-        rows = []
-        for a, b in new:
-            norm = _normalize_row(a, b)
-            if norm is None:
-                if b > 0:
-                    return [], [(([ZERO] * n), ONE)]  # 0 >= positive
-                continue
-            if norm not in seen:
-                seen.add(norm)
-                rows.append((list(norm[0]), norm[1]))
-    out_ges = []
-    seen = set()
-    for a, b in rows:
-        norm = _normalize_row(a, b)
-        if norm is None:
-            if b > 0:
-                return [], [(([ZERO] * n), ONE)]
-            continue
-        if norm not in seen:
-            seen.add(norm)
-            out_ges.append((list(norm[0]), norm[1]))
-    return remaining_eqs, out_ges

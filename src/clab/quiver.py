@@ -14,10 +14,10 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .lattice import Lattice, cross2, is_member, primitive_in_lattice, rat_str
-from .linprog import project, solve_feasibility
-from .surface import AbelianAction, Resolution, make_resolution
+from .surface import AbelianAction, Resolution, build_N2, make_resolution
 
 
 class NonGenericThetaError(ValueError):
@@ -44,6 +44,12 @@ class McKayQuiver:
     @property
     def order(self):
         return len(self.vertices)
+
+    @functools.cached_property
+    def N2(self) -> Lattice:
+        """The lattice of one-parameter subgroups, in which the cones of the
+        moduli fan take their primitive rays."""
+        return build_N2(self.action)
 
     def _canon(self, u, v):
         n = self.action.n
@@ -90,9 +96,12 @@ def build_mckay_quiver(A: AbelianAction) -> McKayQuiver:
         for v in range(n):
             reps.add(min(((u + p) % n, (v + q) % n) for p, q in ann))
     vertices = tuple(sorted(reps))
-    assert len(vertices) == A.order
+    if len(vertices) != A.order:
+        raise ValueError(f"the action has {len(vertices)} characters, "
+                         f"not its order {A.order}")
     Q = McKayQuiver(A, vertices)
-    assert Q.trivial_vertex == 0
+    if Q.trivial_vertex != 0:
+        raise ValueError("the trivial character is not vertex 0")
     return Q
 
 
@@ -111,6 +120,59 @@ class FixedConstellation:
 
     def arrow_ids(self):
         return [f"{kind}@{tail}" for kind, tail in self.arrows]
+
+    def normals(self):
+        """One integer vector d = w(a) + deg(tail) - deg(head) per arrow a
+        off the support.
+
+        At u the gauge potentials give each arrow e(a) = <u, w(a)> +
+        c(head) - c(tail).  e(a) = 0 on the support, which is connected and
+        meets every vertex, so c(v) = -<u, deg(v)> up to the global gauge,
+        and an arrow off the support gets e(a) = <u, d>."""
+        Q = self.quiver
+        aset = set(self.arrows)
+        deg = self.degrees
+        out = []
+        for kind, tail in Q.arrows():
+            if (kind, tail) in aset:
+                continue
+            head = Q.arrow_head(tail, kind)
+            w = ARROW_STEP[kind]
+            out.append((w[0] + deg[tail][0] - deg[head][0],
+                        w[1] + deg[tail][1] - deg[head][1]))
+        return tuple(out)
+
+    @functools.cached_property
+    def cone(self):
+        """The closed cone C_A = {u in the quadrant : <u, d> >= 0 for every
+        normal d}, as its primitive boundary rays (lo, hi) in N2, or None
+        when it is not full-dimensional.
+
+        It depends on the support alone, not on theta, so it is computed
+        once per candidate: the quadrant is cut by one half-plane at a
+        time, on integers."""
+        lo, hi = (1, 0), (0, 1)
+        for d in self.normals():
+            vlo = d[0] * lo[0] + d[1] * lo[1]
+            vhi = d[0] * hi[0] + d[1] * hi[1]
+            if vlo >= 0 and vhi >= 0:
+                continue
+            if vlo < 0 and vhi < 0:
+                return None
+            # the boundary line of the half-plane, oriented into [lo, hi]
+            for cand in ((-d[1], d[0]), (d[1], -d[0])):
+                if cross2(lo, cand) >= 0 and cross2(cand, hi) >= 0:
+                    if vlo < 0:
+                        lo = cand
+                    else:
+                        hi = cand
+                    break
+            else:
+                return None
+        if cross2(lo, hi) <= 0:
+            return None
+        N2 = self.quiver.N2
+        return (primitive_in_lattice(N2, lo), primitive_in_lattice(N2, hi))
 
     def to_json(self):
         return {"arrows": self.arrow_ids()}
@@ -260,22 +322,23 @@ def make_theta(values) -> Theta:
     return Theta(tuple(Fraction(v) for v in values))
 
 
-def _subset_sums(values):
-    """table[mask] = sum of values over the bits of mask."""
-    m = len(values)
-    table = [values[0] * 0] * (1 << m)
-    for mask in range(1, 1 << m):
-        low = mask & (-mask)
-        table[mask] = table[mask ^ low] + values[low.bit_length() - 1]
+def _subset_sums(theta: Theta):
+    """table[mask] = the sum of theta over the bits of mask, times the common
+    denominator of theta's values.  The table is read only for signs, which
+    a positive scale keeps, so it is built on integers."""
+    den = lcm(*(v.denominator for v in theta.values))
+    table = [0]
+    for v in theta.values:
+        step = v.numerator * (den // v.denominator)
+        table += [t + step for t in table]
     return table
 
 
 def genericity_witness(theta: Theta):
     """None if conservatively generic, else a vertex subset with zero sum
     (smallest, then lexicographic)."""
-    vals = theta.values
-    m = len(vals)
-    table = _subset_sums(vals)
+    m = len(theta.values)
+    table = _subset_sums(theta)
     hits = [mask for mask in range(1, (1 << m) - 1) if table[mask] == 0]
     if not hits:
         return None
@@ -286,14 +349,11 @@ def genericity_witness(theta: Theta):
 def is_generic(theta: Theta) -> bool:
     """Conservative certificate: theta(S) != 0 for every nonempty proper
     subset of characters."""
-    vals = theta.values
-    m = len(vals)
-    table = _subset_sums(vals)
-    return all(table[mask] != 0 for mask in range(1, (1 << m) - 1))
+    return 0 not in _subset_sums(theta)[1:-1]
 
 
 def is_stable(c: FixedConstellation, theta: Theta, _table=None) -> bool:
-    table = _subset_sums(theta.values) if _table is None else _table
+    table = _subset_sums(theta) if _table is None else _table
     full = (1 << c.quiver.order) - 1
     # cheap necessary condition first: principal up-closures
     for mask in _principal_closures(c.quiver, c.arrows):
@@ -307,7 +367,7 @@ def enumerate_fixed_stable(Q: McKayQuiver, theta: Theta):
     """All torus-fixed theta-stable supports."""
     if len(theta.values) != Q.order:
         raise ValueError("theta has the wrong number of characters")
-    table = _subset_sums(theta.values)
+    table = _subset_sums(theta)
     return tuple(
         c for c in fixed_candidates(Q) if is_stable(c, theta, _table=table)
     )
@@ -317,51 +377,21 @@ def enumerate_fixed_stable(Q: McKayQuiver, theta: Theta):
 # limits and the moduli fan
 
 
-def _limit_system(c: FixedConstellation):
-    """Rows of e(a) = <u, w(a)> + c(head) - c(tail) over variables
-    (u1, u2, c_0 .. c_{m-1}): equality rows for supported arrows, weak
-    inequality rows otherwise."""
-    Q = c.quiver
-    m = Q.order
-    aset = set(c.arrows)
-    eqs, ges = [], []
-    for kind, tail in Q.arrows():
-        head = Q.arrow_head(tail, kind)
-        w = ARROW_STEP[kind]
-        row = [Fraction(w[0]), Fraction(w[1])] + [Fraction(0)] * m
-        row[2 + head] += 1
-        row[2 + tail] -= 1
-        (eqs if (kind, tail) in aset else ges).append((row, Fraction(0)))
-    return eqs, ges
-
-
 def _limit_feasible(c: FixedConstellation, u) -> bool:
-    """LP feasibility: gauge potentials with e(a) = 0 on the support and
-    e(a) > 0 off it (strictness via a unit slack t >= 1).
+    """Whether gauge potentials exist at u with e(a) = 0 on the support and
+    e(a) > 0 off it, strictness taken as e(a) >= 1.  The potentials are
+    fixed up to the gauge (see `FixedConstellation.normals`), so this is
+    min <u, d> >= 1 over the normals, and true when there are none.
 
-    The support is connected, so its equality rows determine the potentials
-    up to the global gauge; presolving them leaves e(a) = <u, w(a) +
-    deg(tail) - deg(head)> for the off-support arrows and a one-variable LP
-    in the slack."""
-    Q = c.quiver
-    aset = set(c.arrows)
-    deg = c.degrees
-    ges = []
-    for kind, tail in Q.arrows():
-        if (kind, tail) in aset:
-            continue
-        head = Q.arrow_head(tail, kind)
-        w = ARROW_STEP[kind]
-        val = (u[0] * (w[0] + deg[tail][0] - deg[head][0])
-               + u[1] * (w[1] + deg[tail][1] - deg[head][1]))
-        ges.append(([Fraction(-1)], -val))  # t <= e(a)
-    ges.append(([Fraction(1)], Fraction(1)))  # t >= 1
-    return solve_feasibility(1, [], ges).feasible
+    Each normal is the exponent of an invariant monomial, so <u, d> is an
+    integer at u in N2 and >= 1 means > 0 there; at other rational u the
+    two differ, and the test stays >= 1."""
+    return all(u[0] * d[0] + u[1] * d[1] >= 1 for d in c.normals())
 
 
 def ps_limit(Q: McKayQuiver, theta: Theta, u, N2: Lattice) -> FixedConstellation:
     """The limit constellation along the one-parameter subgroup u: the unique
-    stable support whose gauge-potential LP is feasible at u."""
+    stable support whose gauge potentials are feasible at u."""
     u = tuple(Fraction(x) for x in u)
     if u[0] <= 0 or u[1] <= 0:
         raise ValueError("u must lie in the open quadrant")
@@ -379,60 +409,24 @@ def ps_limit(Q: McKayQuiver, theta: Theta, u, N2: Lattice) -> FixedConstellation
     return feas[0]
 
 
-def _cone_of_support(c: FixedConstellation, N2: Lattice):
-    """The closed cone C_A in the u-plane, by Fourier-Motzkin elimination of
-    the gauge potentials; returns primitive boundary rays (lo, hi) in N2, or
-    None when the cone is not full-dimensional."""
-    Q = c.quiver
-    m = Q.order
-    eqs, ges = _limit_system(c)
-    _, proj = project(2 + m, eqs, ges, keep=[0, 1])
-    lo, hi = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))
-    for row, rhs in proj:
-        assert rhs == 0 and all(x == 0 for x in row[2:])
-        d = (row[0], row[1])
-        vlo = d[0] * lo[0] + d[1] * lo[1]
-        vhi = d[0] * hi[0] + d[1] * hi[1]
-        if vlo >= 0 and vhi >= 0:
-            continue
-        if vlo < 0 and vhi < 0:
-            return None
-        w = (-d[1], d[0])
-        for cand in (w, (d[1], -d[0])):
-            c1 = lo[0] * cand[1] - lo[1] * cand[0]
-            c2 = cand[0] * hi[1] - cand[1] * hi[0]
-            if c1 >= 0 and c2 >= 0:
-                if vlo < 0:
-                    lo = cand
-                else:
-                    hi = cand
-                break
-        else:
-            return None
-    if lo[0] * hi[1] - lo[1] * hi[0] <= 0:
-        return None
-    return (primitive_in_lattice(N2, lo), primitive_in_lattice(N2, hi))
-
-
 def moduli_fan_cones(Q: McKayQuiver, theta: Theta, N2: Lattice):
     """The full-dimensional cones C_A of the stable supports, angle ordered,
     with their bounding primitive rays; raises if they fail to tile the
-    quadrant."""
+    quadrant.  N2 must be the lattice of Q's action, in which the cones of
+    the candidates keep their rays."""
+    if N2 != Q.N2:
+        raise ValueError("N2 is not the lattice of the quiver's action")
     if not is_generic(theta):
         raise NonGenericThetaError("theta is on a wall")
-    cones = []
-    for c in enumerate_fixed_stable(Q, theta):
-        span = _cone_of_support(c, N2)
-        if span is not None:
-            cones.append((c, span[0], span[1]))
+    cones = [(c, *c.cone) for c in enumerate_fixed_stable(Q, theta)
+             if c.cone is not None]
     if not cones:
         raise ModuliFanError("no full-dimensional stable cones")
     cones.sort(key=functools.cmp_to_key(
         lambda s, t: -1 if cross2(s[1], t[1]) > 0 else 1
     ))  # by angle of the lower bounding ray
-    e1p = primitive_in_lattice(N2, (1, 0))
-    e2p = primitive_in_lattice(N2, (0, 1))
-    if cones[0][1] != e1p or cones[-1][2] != e2p:
+    # the rays are primitive, so these are the primitive points of the axes
+    if cones[0][1][1] != 0 or cones[-1][2][0] != 0:
         raise ModuliFanError("stable cones do not span the quadrant")
     for (c1, _, hi), (c2, lo, _) in itertools.pairwise(cones):
         if hi != lo:

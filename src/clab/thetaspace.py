@@ -9,6 +9,7 @@ import random
 from dataclasses import dataclass, field
 
 from .quiver import (
+    ModuliFanError,
     Theta,
     build_mckay_quiver,
     is_generic,
@@ -127,7 +128,9 @@ def realize_resolution(A: AbelianAction, Y: Resolution, budget: int,
         fan = moduli_fan(Q, theta, N2)
         fans.add(fan.rays)
         if fan == Y:
-            assert moduli_fan(Q, theta, N2) == Y  # reproducible on re-run
+            if moduli_fan(Q, theta, N2) != Y:
+                raise ModuliFanError("the moduli fan of a realizing theta "
+                                     "changed on a re-run")
             return RealizeOutcome(Y, theta, k + 1, tuple(sorted(fans)))
     return RealizeOutcome(Y, None, budget, tuple(sorted(fans)))
 

@@ -3,11 +3,21 @@
 These deliberately avoid the library's own algorithms: the continued-fraction
 recurrence below produces minimal-resolution rays for small cyclic actions
 straight from the classical Hirzebruch-Jung expansion, and the Graham-style
-hull walk recomputes the boundary chain from first principles.
+hull walk recomputes the boundary chain from first principles.  The cones of
+the moduli fan are recomputed by Fourier-Motzkin projection of the full
+gauge-potential system, and the one-parameter-subgroup limits by the exact
+simplex.
 """
 
 from fractions import Fraction as F
 from math import gcd
+
+from clab.lattice import primitive_in_lattice
+from clab.linprog import solve_feasibility
+from clab.quiver import ARROW_STEP
+
+ZERO = F(0)
+ONE = F(1)
 
 
 def hj_expansion(n, k):
@@ -77,3 +87,188 @@ def boundary_chain_bruteforce(n, q, gcd_ok=False):
     chain = [(F(a, n), F(b, n)) for a, b in chain if a <= n and b <= n]
     chain.sort(key=lambda v: (v[1], -v[0]))
     return chain
+
+
+# ---------------------------------------------------------------------------
+# Fourier-Motzkin projection
+
+
+def _normalize_row(a, b):
+    nums = [x.numerator for x in a if x != 0] + ([b.numerator] if b != 0 else [])
+    dens = [x.denominator for x in a] + [b.denominator]
+    if not nums:
+        return None
+    den_lcm = 1
+    for d in dens:
+        den_lcm = den_lcm * d // gcd(den_lcm, d)
+    ints = [int(x * den_lcm) for x in a] + [int(b * den_lcm)]
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    ints = [x // g for x in ints]
+    return tuple(F(x) for x in ints[:-1]), F(ints[-1])
+
+
+def project(n, eqs, ges, keep):
+    """Project {x : a.x = b over eqs, a.x >= b over ges} onto the coordinates
+    in `keep`.  Returns (eqs', ges') with rows indexed by the full variable
+    list but supported on `keep` only.
+
+    Equalities are used first to substitute out eliminated variables; the
+    remaining eliminated variables go through Fourier-Motzkin elimination.
+    """
+    keep = set(keep)
+    elim = [j for j in range(n) if j not in keep]
+    eq_rows = [([F(c) for c in a], F(b)) for a, b in eqs]
+    ge_rows = [([F(c) for c in a], F(b)) for a, b in ges]
+
+    remaining_eqs = []
+    for j in list(elim):
+        pivot = None
+        for idx, (a, b) in enumerate(eq_rows):
+            if a[j] != 0:
+                pivot = idx
+                break
+        if pivot is None:
+            continue
+        pa, pb = eq_rows.pop(pivot)
+        elim.remove(j)
+
+        def substitute(row):
+            a, b = row
+            if a[j] == 0:
+                return row
+            f = a[j] / pa[j]
+            return ([c - f * d for c, d in zip(a, pa)], b - f * pb)
+
+        eq_rows = [substitute(r) for r in eq_rows]
+        ge_rows = [substitute(r) for r in ge_rows]
+
+    # leftover equalities must not involve eliminated variables with nonzero
+    # coefficient (they were consumed above); keep them as equalities
+    for a, b in eq_rows:
+        if any(a[j] != 0 for j in elim):
+            raise AssertionError("equality substitution incomplete")
+        if all(c == 0 for c in a):
+            if b != 0:
+                # inconsistent system: encode as the empty polyhedron
+                return [], [(([ZERO] * n), ONE)]
+            continue
+        remaining_eqs.append((a, b))
+
+    rows = ge_rows
+    for j in elim:
+        pos, neg, zero = [], [], []
+        for a, b in rows:
+            if a[j] > 0:
+                pos.append((a, b))
+            elif a[j] < 0:
+                neg.append((a, b))
+            else:
+                zero.append((a, b))
+        new = zero
+        for ap, bp in pos:
+            for an, bn in neg:
+                f = -an[j] / ap[j]
+                a = [f * c + d for c, d in zip(ap, an)]
+                b = f * bp + bn
+                new.append((a, b))
+        # dedupe on normalized primitive form
+        seen = set()
+        rows = []
+        for a, b in new:
+            norm = _normalize_row(a, b)
+            if norm is None:
+                if b > 0:
+                    return [], [(([ZERO] * n), ONE)]  # 0 >= positive
+                continue
+            if norm not in seen:
+                seen.add(norm)
+                rows.append((list(norm[0]), norm[1]))
+    out_ges = []
+    seen = set()
+    for a, b in rows:
+        norm = _normalize_row(a, b)
+        if norm is None:
+            if b > 0:
+                return [], [(([ZERO] * n), ONE)]
+            continue
+        if norm not in seen:
+            seen.add(norm)
+            out_ges.append((list(norm[0]), norm[1]))
+    return remaining_eqs, out_ges
+
+
+# ---------------------------------------------------------------------------
+# the gauge-potential system of a torus-fixed support
+
+
+def limit_system(c):
+    """Rows of e(a) = <u, w(a)> + c(head) - c(tail) over the variables
+    (u1, u2, c_0 .. c_{m-1}): equality rows for the supported arrows, weak
+    inequality rows for the others."""
+    Q = c.quiver
+    m = Q.order
+    aset = set(c.arrows)
+    eqs, ges = [], []
+    for kind, tail in Q.arrows():
+        head = Q.arrow_head(tail, kind)
+        w = ARROW_STEP[kind]
+        row = [F(w[0]), F(w[1])] + [F(0)] * m
+        row[2 + head] += 1
+        row[2 + tail] -= 1
+        (eqs if (kind, tail) in aset else ges).append((row, F(0)))
+    return eqs, ges
+
+
+def fm_cone_of_support(c, N2):
+    """The closed cone C_A in the u-plane by Fourier-Motzkin elimination of
+    the gauge potentials: primitive boundary rays (lo, hi) in N2, or None
+    when the cone is not full-dimensional."""
+    eqs, ges = limit_system(c)
+    _, proj = project(2 + c.quiver.order, eqs, ges, keep=[0, 1])
+    lo, hi = (F(1), F(0)), (F(0), F(1))
+    for row, rhs in proj:
+        assert rhs == 0 and all(x == 0 for x in row[2:])
+        d = (row[0], row[1])
+        vlo = d[0] * lo[0] + d[1] * lo[1]
+        vhi = d[0] * hi[0] + d[1] * hi[1]
+        if vlo >= 0 and vhi >= 0:
+            continue
+        if vlo < 0 and vhi < 0:
+            return None
+        for cand in ((-d[1], d[0]), (d[1], -d[0])):
+            c1 = lo[0] * cand[1] - lo[1] * cand[0]
+            c2 = cand[0] * hi[1] - cand[1] * hi[0]
+            if c1 >= 0 and c2 >= 0:
+                if vlo < 0:
+                    lo = cand
+                else:
+                    hi = cand
+                break
+        else:
+            return None
+    if lo[0] * hi[1] - lo[1] * hi[0] <= 0:
+        return None
+    return (primitive_in_lattice(N2, lo), primitive_in_lattice(N2, hi))
+
+
+def lp_limit_feasible(c, u):
+    """LP feasibility at u: gauge potentials with e(a) = 0 on the support
+    and e(a) > 0 off it, strictness via a unit slack t >= 1.  The support's
+    equalities are presolved, leaving e(a) = <u, w(a) + deg(tail) -
+    deg(head)> for the off-support arrows and one variable, the slack."""
+    Q = c.quiver
+    aset = set(c.arrows)
+    deg = c.degrees
+    ges = []
+    for kind, tail in Q.arrows():
+        if (kind, tail) in aset:
+            continue
+        head = Q.arrow_head(tail, kind)
+        w = ARROW_STEP[kind]
+        val = (u[0] * (w[0] + deg[tail][0] - deg[head][0])
+               + u[1] * (w[1] + deg[tail][1] - deg[head][1]))
+        ges.append(([F(-1)], -val))  # t <= e(a)
+    ges.append(([F(1)], F(1)))  # t >= 1
+    return solve_feasibility(1, [], ges).feasible

@@ -1,5 +1,11 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction as F
+from pathlib import Path
 
+import clab
 from clab.cli import main
 
 
@@ -81,6 +87,32 @@ def test_moduli_rejects_nongeneric_theta(capsys):
     assert "[2]" in err  # the violated subset is reported
 
 
+def test_moduli_fractional_theta_matches_integer_multiple(capsys):
+    # mixed denominators 4, 6, 9, 18 and 36: the subset sums are scaled by
+    # their lcm, so the fractional theta must act as its integer multiple
+    generic = [12, 8, 12, -4, 12, 2, 12, -54]
+    reports = []
+    for theta in (generic, [F(t, 72) for t in generic]):
+        code, out, _ = run_cli(capsys, "--n", "8", "--gens", "1,3", "moduli",
+                               "--theta=" + ",".join(map(str, theta)),
+                               "--format", "json")
+        assert code == 0
+        reports.append(json.loads(out))
+    for key in ("fan", "fixed_points", "fixed_point_count"):
+        assert reports[0][key] == reports[1][key]
+    assert reports[0]["fan"]["rays"]
+    # on a wall both name the same zero-sum characters
+    wall = [-6, 2, 3, 1, 1, -1, 2, -2]
+    errors = []
+    for theta in (wall, [F(t, 12) for t in wall]):
+        code, _, err = run_cli(capsys, "--n", "8", "--gens", "1,3", "moduli",
+                               "--theta=" + ",".join(map(str, theta)))
+        assert code == 2
+        errors.append(err)
+    assert errors[0] == errors[1]
+    assert "not generic" in errors[0]
+
+
 def test_moduli_sampled_seed(capsys):
     code, out, _ = run_cli(capsys, "--n", "8", "--gens", "1,3", "moduli",
                            "--seed", "7", "--format", "json")
@@ -144,3 +176,24 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["verdict"] == "pass"
+
+
+def test_verify_same_under_python_O():
+    # `python -O` strips asserts: every check must be an explicit raise, and
+    # the report must not depend on one
+    src = str(Path(clab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, CLAB_THREADS="1")
+    code = "import sys; from clab.cli import main; sys.exit(main(sys.argv[1:]))"
+    reports = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", code, "--n", "7", "--gens", "1,3",
+             "verify", "--format", "json"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        body = json.loads(proc.stdout)
+        body.pop("generated_at")
+        reports.append(body)
+    assert reports[0] == reports[1]
+    assert reports[0]["verdict"] == "pass"

@@ -4,7 +4,9 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clab.linprog import check_farkas, project, solve_feasibility
+from clab.linprog import check_farkas, solve_feasibility
+
+from .oracles import project
 
 
 def test_simple_feasible():
@@ -75,6 +77,9 @@ def test_random_systems_point_or_certificate(seed):
             assert sum(c * v for c, v in zip(a, x)) >= b
     else:
         assert check_farkas(n, eqs, ges, r.farkas)
+
+
+# Fourier-Motzkin projection, the test oracle for the moduli-fan cones
 
 
 def test_project_cone_simple():

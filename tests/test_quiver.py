@@ -20,7 +20,10 @@ from clab.quiver import (
     moduli_fan_cones,
     ps_limit,
 )
+from clab.quiver import _limit_feasible
 from clab.surface import build_action, build_N2, minimal_resolution
+
+from .oracles import fm_cone_of_support, lp_limit_feasible
 
 
 def cyclic(n, a, b):
@@ -218,6 +221,55 @@ def test_enumeration_matches_brute_force(action, theta):
 
 # ---------------------------------------------------------------------------
 # limits
+
+
+# every candidate of these groups, orders 4 to 10
+ORACLE_GROUPS = [
+    (4, [(1, 3)]), (2, [(1, 1), (1, 0)]), (5, [(1, 2)]), (6, [(2, 1), (0, 3)]),
+    (7, [(1, 3)]), (4, [(1, 1), (2, 0)]), (8, [(1, 3)]), (9, [(3, 1)]),
+    (10, [(1, 3)]),
+]
+
+
+def _group_id(group):
+    n, gens = group
+    return f"{n}({';'.join(f'{a},{b}' for a, b in gens)})"
+
+
+@pytest.mark.parametrize("group", ORACLE_GROUPS, ids=_group_id)
+def test_cones_equal_fourier_motzkin(group):
+    A = build_action(*group)
+    Q = build_mckay_quiver(A)
+    N2 = build_N2(A)
+    for c in fixed_candidates(Q):
+        assert c.cone == fm_cone_of_support(c, N2), c.arrows
+
+
+# u on a grid with denominators 1 to 4: at fractional u an off-support
+# arrow can have 0 < e(a) < 1, where the test e(a) >= 1 says infeasible
+LIMIT_GRID = [
+    (F(1), F(1)), (F(2), F(1)), (F(1), F(3)), (F(1, 2), F(1, 2)),
+    (F(3, 2), F(1, 2)), (F(1, 2), F(5, 2)), (F(1, 3), F(2, 3)),
+    (F(4, 3), F(1, 3)), (F(2, 3), F(5, 3)), (F(1, 4), F(3, 4)),
+    (F(5, 4), F(7, 4)), (F(7, 2), F(1, 3)),
+]
+
+
+def test_limit_feasible_matches_simplex():
+    outcomes = set()
+    fractional_cut = 0
+    for group in ORACLE_GROUPS[:4]:
+        Q = build_mckay_quiver(build_action(*group))
+        for c in fixed_candidates(Q):
+            for u in LIMIT_GRID:
+                fast = _limit_feasible(c, u)
+                assert fast == lp_limit_feasible(c, u), (c.arrows, u)
+                outcomes.add(fast)
+                positive = all(u[0] * d[0] + u[1] * d[1] > 0
+                               for d in c.normals())
+                fractional_cut += positive and not fast
+    assert outcomes == {True, False}
+    assert fractional_cut > 0  # the grid tells e(a) >= 1 from e(a) > 0
 
 
 def test_ps_limit_one_third():

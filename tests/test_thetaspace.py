@@ -1,6 +1,7 @@
 import pytest
 
-from clab.quiver import build_mckay_quiver, is_generic, moduli_fan
+from clab import thetaspace
+from clab.quiver import ModuliFanError, build_mckay_quiver, is_generic, moduli_fan
 from clab.surface import (
     build_action,
     build_N2,
@@ -54,6 +55,16 @@ def test_realize_minimal_one_third():
     assert out.realized
     Q = build_mckay_quiver(A)
     assert moduli_fan(Q, out.theta, build_N2(A)) == Y
+
+
+def test_realize_checks_reproducibility(monkeypatch):
+    # the re-run check is a raise, not an assert, so it holds under -O
+    A = cyclic(3, 1, 1)
+    Y = minimal_resolution(build_N2(A))
+    fans = iter([Y, None])  # the first call realizes Y, the re-run does not
+    monkeypatch.setattr(thetaspace, "moduli_fan", lambda Q, theta, N2: next(fans))
+    with pytest.raises(ModuliFanError):
+        realize_resolution(A, Y, budget=5)
 
 
 def test_realize_rejects_inadmissible():
