@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -158,16 +157,19 @@ def _fmt_resolution(Y):
 
 
 def _select_resolution(cfg, N2):
-    admissible = enumerate_admissible_resolutions(N2)
     if cfg.resolution == "min":
         return minimal_resolution(N2)
     if cfg.resolution == "max":
         return maximal_resolution(N2)
+    bad = UsageError(f"bad resolution selector {cfg.resolution!r}")
     try:
         idx = int(cfg.resolution)
-        return admissible[idx]
-    except (ValueError, IndexError):
-        raise UsageError(f"bad resolution selector {cfg.resolution!r}")
+    except ValueError:
+        raise bad from None
+    admissible = enumerate_admissible_resolutions(N2)
+    if not -len(admissible) <= idx < len(admissible):
+        raise bad
+    return admissible[idx]
 
 
 def run(cfg: RunConfig):
@@ -273,9 +275,7 @@ def run(cfg: RunConfig):
                            else None)
 
     if cfg.command == "verify":
-        threads = max(1, int(os.environ.get("CLAB_THREADS", "1")))
-        rep = verify_main_theorem(A, cfg.samples, cfg.budget, seed=cfg.seed,
-                                  threads=threads)
+        rep = verify_main_theorem(A, cfg.samples, cfg.budget, seed=cfg.seed)
         payload = rep.to_json()
         lines = [
             f"only-if audit: {cfg.samples} samples, "

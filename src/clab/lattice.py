@@ -122,7 +122,8 @@ class Lattice:
     def denominator_bound(self) -> int:
         """N such that L is contained in (1/N) Z^dim; N = [L : Z^dim]."""
         inv = 1 / self.index
-        assert inv.denominator == 1
+        if inv.denominator != 1:
+            raise ValueError("the lattice does not contain Z^dim")
         return inv.numerator
 
 
@@ -150,7 +151,8 @@ def lattice_from_generators(dim, gens) -> Lattice:
         tuple(Fraction(H[j][i], den) for i in range(dim)) for j in range(dim)
     )
     lat = Lattice(dim, basis)
-    assert (1 / lat.index).denominator == 1  # Z^dim <= L forces integer index
+    if (1 / lat.index).denominator != 1:  # Z^dim <= L forces integer index
+        raise ValueError("the generated lattice does not contain Z^dim")
     return lat
 
 
@@ -173,17 +175,21 @@ def is_member(L: Lattice, v) -> bool:
 
 @lru_cache(maxsize=None)
 def _residues(L: Lattice) -> frozenset:
-    """Residue classes of L modulo Z^dim, scaled by N = [L : Z^dim]."""
+    """Residue classes of L modulo Z^dim, scaled by N = [L : Z^dim].
+
+    L / Z^dim is generated by the basis columns, so the scaled residues are
+    the subgroup of (Z/N)^dim that the scaled columns generate."""
     N = L.denominator_bound()
-    out = set()
-    for idx in range(N ** L.dim):
-        r = []
-        k = idx
-        for _ in range(L.dim):
-            r.append(k % N)
-            k //= N
-        if is_member(L, tuple(Fraction(p, N) for p in r)):
-            out.add(tuple(r))
+    gens = [tuple(int(c * N) for c in col) for col in L.basis]
+    out = {(0,) * L.dim}
+    frontier = list(out)
+    while frontier:
+        r = frontier.pop()
+        for g in gens:
+            nxt = tuple((a + b) % N for a, b in zip(r, g))
+            if nxt not in out:
+                out.add(nxt)
+                frontier.append(nxt)
     return frozenset(out)
 
 

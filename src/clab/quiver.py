@@ -174,6 +174,31 @@ class FixedConstellation:
         N2 = self.quiver.N2
         return (primitive_in_lattice(N2, lo), primitive_in_lattice(N2, hi))
 
+    @functools.cached_property
+    def stability_masks(self):
+        """Bitmasks of the nonempty proper arrow-closed vertex subsets (tail
+        in S implies head in S): the support is theta-stable iff theta is
+        positive on each.  Like the cone, they depend on the support alone."""
+        Q = self.quiver
+        m = Q.order
+        succ = [0] * m
+        for kind, tail in self.arrows:
+            succ[tail] |= 1 << Q.arrow_head(tail, kind)
+        # fixpoint generation: grow closed sets one admissible vertex at a time
+        closed = {0}
+        frontier = [0]
+        while frontier:
+            s = frontier.pop()
+            for v in range(m):
+                if s & (1 << v) or succ[v] & ~s:
+                    continue
+                t = s | (1 << v)
+                if t not in closed:
+                    closed.add(t)
+                    frontier.append(t)
+        full = (1 << m) - 1
+        return tuple(sorted(s for s in closed if s not in (0, full)))
+
     def to_json(self):
         return {"arrows": self.arrow_ids()}
 
@@ -255,53 +280,6 @@ def _constellation_from_cells(Q, cells):
     return FixedConstellation(Q, tuple(sorted(arrows)), degrees)
 
 
-@lru_cache(maxsize=None)
-def _principal_closures(Q: McKayQuiver, arrows: tuple):
-    """Up-closure bitmask of each single vertex (reachability along arrows)."""
-    m = Q.order
-    succ = [0] * m
-    for kind, tail in arrows:
-        succ[tail] |= 1 << Q.arrow_head(tail, kind)
-    out = []
-    for v in range(m):
-        mask = 1 << v
-        stack = [v]
-        while stack:
-            w = stack.pop()
-            for x in range(m):
-                if succ[w] & (1 << x) and not mask & (1 << x):
-                    mask |= 1 << x
-                    stack.append(x)
-        out.append(mask)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _upclosed_masks(Q: McKayQuiver, arrows: tuple):
-    """Bitmasks of the nonempty proper arrow-closed vertex subsets (tail in S
-    implies head in S)."""
-    m = Q.order
-    succ = [0] * m
-    for kind, tail in arrows:
-        succ[tail] |= 1 << Q.arrow_head(tail, kind)
-    # fixpoint generation: grow closed sets one admissible vertex at a time
-    closed = {0}
-    frontier = [0]
-    while frontier:
-        s = frontier.pop()
-        for v in range(m):
-            if s & (1 << v):
-                continue
-            if succ[v] & ~s:
-                continue
-            t = s | (1 << v)
-            if t not in closed:
-                closed.add(t)
-                frontier.append(t)
-    full = (1 << m) - 1
-    return tuple(sorted(s for s in closed if s not in (0, full)))
-
-
 @dataclass(frozen=True)
 class Theta:
     """A stability parameter: one rational per character, summing to zero."""
@@ -354,12 +332,7 @@ def is_generic(theta: Theta) -> bool:
 
 def is_stable(c: FixedConstellation, theta: Theta, _table=None) -> bool:
     table = _subset_sums(theta) if _table is None else _table
-    full = (1 << c.quiver.order) - 1
-    # cheap necessary condition first: principal up-closures
-    for mask in _principal_closures(c.quiver, c.arrows):
-        if mask != full and table[mask] <= 0:
-            return False
-    return all(table[mask] > 0 for mask in _upclosed_masks(c.quiver, c.arrows))
+    return all(table[mask] > 0 for mask in c.stability_masks)
 
 
 @lru_cache(maxsize=4096)

@@ -15,11 +15,13 @@ from .lattice import (
     Lattice,
     _is_member_scaled,
     cross2,
+    is_member,
     lattice_from_generators,
     lattice_points_in_triangle,
     pair_determinant,
     primitive_in_lattice,
     rat_str,
+    vadd,
     vec,
 )
 
@@ -88,7 +90,8 @@ def build_N2(A: AbelianAction) -> Lattice:
     L = lattice_from_generators(
         2, [(Fraction(a, A.n), Fraction(b, A.n)) for a, b in A.elements]
     )
-    assert L.index == Fraction(1, A.order)
+    if L.index != Fraction(1, A.order):
+        raise ValueError(f"N2 has index {1 / L.index}, not the order {A.order}")
     return L
 
 
@@ -158,8 +161,10 @@ def make_resolution(lattice: Lattice, rays) -> Resolution:
     for r in rays:
         if r[0] < 0 or r[1] < 0:
             raise ValueError("rays must lie in the nonnegative quadrant")
-        if r != primitive_in_lattice(lattice, r):
-            raise ValueError(f"ray {r} is not primitive in the lattice")
+        # with the unimodular pairs below this makes r primitive: a basis
+        # vector is primitive
+        if not is_member(lattice, r):
+            raise ValueError(f"ray {r} is not a lattice point")
     for u, v in itertools.pairwise(rays):
         if cross2(u, v) <= 0:
             raise ValueError("rays must be strictly ordered by angle")
@@ -200,7 +205,8 @@ def minimal_resolution(N2: Lattice) -> Resolution:
         if (p, q) != (0, 0) and _is_member_scaled(N2, (p, q), N)
     ]
     pts.sort()  # x ascending, then y ascending; pts[0] is e2p scaled
-    assert pts[0] == (0, Y)
+    if pts[0] != (0, Y):
+        raise ValueError("the boundary walk does not start at e2'")
     # monotone-chain lower hull keeping collinear boundary points
     chain = []
     for p in pts:
@@ -231,9 +237,26 @@ def maximal_resolution(N2: Lattice) -> Resolution:
 MAX_OPTIONAL_RAYS = 20  # subset enumeration guard, desk scale
 
 
+def _blowups(u, v):
+    """Every refinement of the unimodular cone (u, v) into unimodular cones
+    with rays of a + b <= 1, as the tuple of rays strictly between u and v.
+
+    Each nontrivial one contains u + v (Fulton, Introduction to Toric
+    Varieties, 2.6), so it is u + v with a refinement on either side."""
+    w = vadd(u, v)
+    out = [()]
+    if w[0] + w[1] <= 1:
+        out += [left + (w,) + right
+                for left in _blowups(u, w) for right in _blowups(w, v)]
+    return out
+
+
 def enumerate_admissible_resolutions(N2: Lattice):
     """All resolutions Y with rays(minimal) <= rays(Y) <= rays(maximal) whose
-    consecutive ray pairs are unimodular; includes the minimal and maximal."""
+    consecutive ray pairs are unimodular; includes the minimal and maximal.
+
+    They are built, not searched for: one refinement per pair of
+    consecutive minimal rays, each from the blow-up tree of that pair."""
     rmin = minimal_resolution(N2)
     rmax = maximal_resolution(N2)
     base = set(rmin.rays)
@@ -242,16 +265,18 @@ def enumerate_admissible_resolutions(N2: Lattice):
         raise ValueError(
             f"too many optional rays ({len(optional)}) for subset enumeration"
         )
+    gaps = [_blowups(u, v) for u, v in itertools.pairwise(rmin.rays)]
     out = []
-    for k in range(len(optional) + 1):
-        for combo in itertools.combinations(optional, k):
-            rays = sort_rays_by_angle(tuple(base) + combo)
-            try:
-                out.append(make_resolution(N2, rays))
-            except ValueError:
-                continue
+    for fills in itertools.product(*gaps):
+        rays = [rmin.rays[0]]
+        for fill, r in zip(fills, rmin.rays[1:]):
+            rays += fill
+            rays.append(r)
+        out.append(make_resolution(N2, rays))
     out.sort(key=lambda r: (len(r.rays), r.rays))
-    assert rmin in out and rmax in out
+    if rmin not in out or rmax not in out:
+        raise ValueError("the admissible resolutions do not run from the "
+                         "minimal to the maximal resolution")
     return tuple(out)
 
 

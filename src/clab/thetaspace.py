@@ -175,40 +175,24 @@ class RealizationReport:
         }
 
 
-def _audit_sample(args):
-    Q, N2, max_rays, A, seed = args
-    theta = sample_generic(A, seed)
-    fan = moduli_fan(Q, theta, N2)
-    violation = None
-    if not set(fan.rays) <= max_rays:
-        violation = (theta.to_json(), fan.to_json())
-    return fan.rays, len(fan.rays) - 1, violation
-
-
 def verify_main_theorem(A: AbelianAction, samples: int, budget: int,
-                        seed: int = 0, threads: int = 1) -> RealizationReport:
+                        seed: int = 0) -> RealizationReport:
     """(i) only-if audit: every sampled generic fan uses only rays of the
     maximal resolution; (ii) if audit: every admissible resolution is
     realized by some sampled generic theta within the budget."""
     Q = build_mckay_quiver(A)
     N2 = build_N2(A)
     max_rays = set(maximal_resolution(N2).rays)
-    tasks = [(Q, N2, max_rays, A, derive_seed(seed, k)) for k in range(samples)]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_audit_sample, tasks))
-    else:
-        results = [_audit_sample(t) for t in tasks]
     fans = set()
     violations = []
     counts = []
-    for rays, npts, violation in results:
-        fans.add(rays)
-        counts.append(npts)
-        if violation is not None:
-            violations.append(violation)
+    for k in range(samples):
+        theta = sample_generic(A, derive_seed(seed, k))
+        fan = moduli_fan(Q, theta, N2)
+        fans.add(fan.rays)
+        counts.append(len(fan.rays) - 1)
+        if not set(fan.rays) <= max_rays:
+            violations.append((theta.to_json(), fan.to_json()))
     outcomes = []
     for j, Y in enumerate(enumerate_admissible_resolutions(N2)):
         outcomes.append(

@@ -6,15 +6,24 @@ straight from the classical Hirzebruch-Jung expansion, and the Graham-style
 hull walk recomputes the boundary chain from first principles.  The cones of
 the moduli fan are recomputed by Fourier-Motzkin projection of the full
 gauge-potential system, and the one-parameter-subgroup limits by the exact
-simplex.
+simplex.  The lattice residues, the admissible resolutions and the
+stability masks are recomputed by the exhaustive searches the library
+replaced with direct constructions.
 """
 
+import itertools
 from fractions import Fraction as F
 from math import gcd
 
-from clab.lattice import primitive_in_lattice
+from clab.lattice import is_member, primitive_in_lattice
 from clab.linprog import solve_feasibility
 from clab.quiver import ARROW_STEP
+from clab.surface import (
+    make_resolution,
+    maximal_resolution,
+    minimal_resolution,
+    sort_rays_by_angle,
+)
 
 ZERO = F(0)
 ONE = F(1)
@@ -272,3 +281,79 @@ def lp_limit_feasible(c, u):
         ges.append(([F(-1)], -val))  # t <= e(a)
     ges.append(([F(1)], F(1)))  # t >= 1
     return solve_feasibility(1, [], ges).feasible
+
+
+# ---------------------------------------------------------------------------
+# exhaustive searches behind the cold path
+
+
+def residues_by_scan(L):
+    """Residue classes of L modulo Z^dim, scaled by N = [L : Z^dim], by a
+    membership test of every point of (Z/N)^dim."""
+    N = L.denominator_bound()
+    out = set()
+    for idx in range(N ** L.dim):
+        r = []
+        k = idx
+        for _ in range(L.dim):
+            r.append(k % N)
+            k //= N
+        if is_member(L, tuple(F(p, N) for p in r)):
+            out.add(tuple(r))
+    return frozenset(out)
+
+
+def admissible_by_subsets(N2):
+    """The admissible resolutions by trying every subset of the maximal
+    resolution's rays outside the minimal one, sorted by (length, rays)."""
+    rmin = minimal_resolution(N2)
+    rmax = maximal_resolution(N2)
+    base = set(rmin.rays)
+    optional = [r for r in rmax.rays if r not in base]
+    out = []
+    for k in range(len(optional) + 1):
+        for combo in itertools.combinations(optional, k):
+            rays = sort_rays_by_angle(tuple(base) + combo)
+            try:
+                out.append(make_resolution(N2, rays))
+            except ValueError:
+                continue
+    out.sort(key=lambda r: (len(r.rays), r.rays))
+    return tuple(out)
+
+
+def _successors(Q, arrows):
+    succ = [0] * Q.order
+    for kind, tail in arrows:
+        succ[tail] |= 1 << Q.arrow_head(tail, kind)
+    return succ
+
+
+def principal_closures(Q, arrows):
+    """Up-closure bitmask of each single vertex (reachability along arrows)."""
+    m = Q.order
+    succ = _successors(Q, arrows)
+    out = []
+    for v in range(m):
+        mask = 1 << v
+        stack = [v]
+        while stack:
+            w = stack.pop()
+            for x in range(m):
+                if succ[w] & (1 << x) and not mask & (1 << x):
+                    mask |= 1 << x
+                    stack.append(x)
+        out.append(mask)
+    return tuple(out)
+
+
+def upclosed_masks(Q, arrows):
+    """Bitmasks of the nonempty proper arrow-closed vertex subsets (tail in S
+    implies head in S), by testing every subset."""
+    m = Q.order
+    succ = _successors(Q, arrows)
+    full = (1 << m) - 1
+    return tuple(
+        s for s in range(1, full)
+        if all(succ[v] & ~s == 0 for v in range(m) if s & (1 << v))
+    )

@@ -62,6 +62,33 @@ def test_triangulate_trivial(capsys):
     assert json.loads(out)["triangles"] == 1
 
 
+def test_triangulate_min_max_skip_admissible_list(capsys, monkeypatch):
+    def refuse(N2):
+        raise AssertionError("admissible list built for a min/max selector")
+
+    monkeypatch.setattr("clab.cli.enumerate_admissible_resolutions", refuse)
+    for sel in ("min", "max"):
+        code, out, err = run_cli(capsys, "--n", "8", "--gens", "1,3",
+                                 "triangulate", "--resolution", sel,
+                                 "--format", "json")
+        assert code == 0, err
+        assert json.loads(out)["triangles"] == 8
+
+
+def test_triangulate_index_selector(capsys):
+    # index 1 of 1/8(1,3)'s two admissible resolutions is the maximal one
+    code, out, _ = run_cli(capsys, "--n", "8", "--gens", "1,3", "triangulate",
+                           "--resolution", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["resolution"]["rays"] == [
+        ["3/8", "1/8"], ["1/2", "1/2"], ["1/8", "3/8"]]
+    for bad in ("2", "first"):
+        code, _, err = run_cli(capsys, "--n", "8", "--gens", "1,3",
+                               "triangulate", "--resolution", bad)
+        assert code == 2
+        assert "bad resolution selector" in err
+
+
 def test_triangulate_one_third(capsys):
     code, out, _ = run_cli(capsys, "--n", "3", "--gens", "1,1", "triangulate",
                            "--resolution", "min", "--format", "json")
@@ -182,18 +209,24 @@ def test_verify_same_under_python_O():
     # `python -O` strips asserts: every check must be an explicit raise, and
     # the report must not depend on one
     src = str(Path(clab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src, CLAB_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=src)
     code = "import sys; from clab.cli import main; sys.exit(main(sys.argv[1:]))"
-    reports = []
-    for flags in ([], ["-O"]):
-        proc = subprocess.run(
-            [sys.executable, *flags, "-c", code, "--n", "7", "--gens", "1,3",
-             "verify", "--format", "json"],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        body = json.loads(proc.stdout)
-        body.pop("generated_at")
-        reports.append(body)
-    assert reports[0] == reports[1]
-    assert reports[0]["verdict"] == "pass"
+    runs = {"verify": ["--n", "7", "--gens", "1,3"],
+            "resolutions": ["--n", "18", "--gens", "1,5;0,9"]}
+    plain = {}
+    for command, argv in runs.items():
+        reports = []
+        for flags in ([], ["-O"]):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-c", code, *argv, command,
+                 "--format", "json"],
+                capture_output=True, text=True, env=env, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            body = json.loads(proc.stdout)
+            body.pop("generated_at")
+            reports.append(body)
+        assert reports[0] == reports[1], command
+        plain[command] = reports[0]
+    assert plain["verify"]["verdict"] == "pass"
+    assert plain["resolutions"]["count"] == 72

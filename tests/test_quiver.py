@@ -23,7 +23,12 @@ from clab.quiver import (
 from clab.quiver import _limit_feasible
 from clab.surface import build_action, build_N2, minimal_resolution
 
-from .oracles import fm_cone_of_support, lp_limit_feasible
+from .oracles import (
+    fm_cone_of_support,
+    lp_limit_feasible,
+    principal_closures,
+    upclosed_masks,
+)
 
 
 def cyclic(n, a, b):
@@ -243,6 +248,18 @@ def test_cones_equal_fourier_motzkin(group):
     N2 = build_N2(A)
     for c in fixed_candidates(Q):
         assert c.cone == fm_cone_of_support(c, N2), c.arrows
+
+
+@pytest.mark.parametrize("group", ORACLE_GROUPS + [(8, [(1, 2)])], ids=_group_id)
+def test_stability_masks_equal_closures(group):
+    Q = build_mckay_quiver(build_action(*group))
+    full = (1 << Q.order) - 1
+    for c in fixed_candidates(Q):
+        masks = c.stability_masks
+        assert sorted(masks) == sorted(upclosed_masks(Q, c.arrows)), c.arrows
+        # the principal up-closures, once tested first, add no condition
+        principal = {p for p in principal_closures(Q, c.arrows) if p != full}
+        assert principal <= set(masks), c.arrows
 
 
 # u on a grid with denominators 1 to 4: at fractional u an off-support

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clab.lattice import pair_determinant, vec
+from clab.junior import build_junior
+from clab.lattice import _residues, lattice_from_generators, pair_determinant, vec
 from clab.surface import (
     boundary_divisor,
     build_action,
@@ -18,7 +19,7 @@ from clab.surface import (
     resolution_from_json,
 )
 
-from .oracles import hj_minimal_rays
+from .oracles import admissible_by_subsets, hj_minimal_rays, residues_by_scan
 
 
 def cyclic(n, a, b):
@@ -179,6 +180,35 @@ def test_resolution_validation_rejects_bad_sequences():
         make_resolution(N2, [(F(1, 8), F(3, 8)), (0, 1)])  # v0 off the x-axis
     with pytest.raises(ValueError):
         make_resolution(N2, [(1, 0), (F(1, 4), F(3, 4)), (0, 1)])  # non-primitive
+    with pytest.raises(ValueError):
+        # unimodular (det 1), but (1/2, 0) is not in Z^2
+        make_resolution(lattice_from_generators(2, []), [(F(1, 2), 0), (0, 2)])
+
+
+# ---------------------------------------------------------------------------
+# constructions against the exhaustive searches they replaced
+
+COLD_GROUPS = [(n, [(1, q)]) for n in range(1, 13) for q in range(n)] + [
+    (2, [(1, 1), (1, 0)]), (4, [(1, 1), (2, 0)]), (6, [(2, 1), (0, 3)]),
+    (12, [(1, 7), (0, 6)]), (12, [(1, 5), (0, 6)]),
+]
+TRIANGULATE_GROUPS = [
+    (24, [(1, 7)]), (12, [(1, 7), (0, 6)]), (12, [(1, 5), (0, 6)]),
+    (30, [(1, 11)]), (18, [(1, 5), (0, 9)]),
+]
+
+
+def test_residues_by_closure_equal_scan():
+    for group in COLD_GROUPS:
+        A = build_action(*group)
+        for L in (build_N2(A), build_junior(A).lattice):
+            assert _residues(L) == residues_by_scan(L), (group, L.dim)
+
+
+def test_admissible_by_blowups_equal_subset_enumeration():
+    for group in COLD_GROUPS + TRIANGULATE_GROUPS:
+        N2 = build_N2(build_action(*group))
+        assert enumerate_admissible_resolutions(N2) == admissible_by_subsets(N2), group
 
 
 # ---------------------------------------------------------------------------

@@ -107,13 +107,6 @@ def test_verify_determinism():
     assert r1.to_json() == r2.to_json()
 
 
-def test_verify_threads_agree():
-    A = cyclic(3, 1, 1)
-    r1 = verify_main_theorem(A, samples=12, budget=20, seed=5, threads=1)
-    r2 = verify_main_theorem(A, samples=12, budget=20, seed=5, threads=3)
-    assert r1.to_json() == r2.to_json()
-
-
 def test_chamber_constancy_spot_check():
     # equal sign vectors on all walls imply equal fans
     A = cyclic(4, 1, 3)
