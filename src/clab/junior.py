@@ -16,12 +16,12 @@ from fractions import Fraction
 
 from .lattice import (
     Lattice,
+    _halfplanes,
     cross2,
     det3,
     is_member,
     lattice_from_generators,
     lattice_points_in_triangle,
-    lattice_points_on_segment,
     rat_str,
     vec,
     vsub,
@@ -41,6 +41,11 @@ E3 = vec(0, 0, 1)
 
 class InadmissibleResolutionError(ValueError):
     """The chosen surface resolution is not dominated by the maximal one."""
+
+
+class TriangulationError(RuntimeError):
+    """A construction or certificate on the junior simplex failed its own
+    check (internal consistency)."""
 
 
 @dataclass(frozen=True)
@@ -63,11 +68,14 @@ def build_junior(A: AbelianAction) -> JuniorSimplex:
         for a, b in A.elements
     ]
     N3 = lattice_from_generators(3, gens)
-    assert N3.index == Fraction(1, A.order)
+    if N3.index != Fraction(1, A.order):
+        raise TriangulationError(
+            f"N3 has index {1 / N3.index}, not the order {A.order}")
     pts = lattice_points_in_triangle(N3, E1, E2, E3)
-    for p in pts:
-        assert sum(p) == 1 and all(c >= 0 for c in p)
-    assert E1 in pts and E2 in pts and E3 in pts
+    if any(sum(p) != 1 or min(p) < 0 for p in pts):
+        raise TriangulationError("a junior point lies off the simplex")
+    if not {E1, E2, E3} <= set(pts):
+        raise TriangulationError("the junior points miss a vertex")
     return JuniorSimplex(N3, pts)
 
 
@@ -288,7 +296,8 @@ def _wall_rows(T: Triangulation):
         la, lb, lc = _barycentric(
             T.points[d_i], T.points[a_i], T.points[b_i], T.points[c_i]
         )
-        assert lc < 0
+        if lc >= 0:
+            raise ValueError(f"the triangles on edge {edge} overlap")
         row = [Fraction(0)] * npts
         row[d_i] += 1
         row[a_i] -= la
@@ -307,8 +316,10 @@ def regularity_certificate(T: Triangulation):
         return PLSupportFunction(T, tuple([Fraction(0)] * len(T.points)))
     res = solve_feasibility(len(T.points), [], [(r, 1) for _, r in rows])
     if res.feasible:
-        for _, r in rows:
-            assert sum(c * h for c, h in zip(r, res.point)) >= 1
+        for edge, r in rows:
+            if sum(c * h for c, h in zip(r, res.point)) < 1:
+                raise TriangulationError(
+                    f"the heights are not strictly convex across {edge}")
         return PLSupportFunction(T, tuple(res.point))
     support = tuple(
         edge for (edge, _), y in zip(rows, res.farkas) if y > 0
@@ -386,7 +397,8 @@ def slice_resolution(A: AbelianAction) -> Resolution:
     )
     W = minimal_resolution(LW)
     # SL(2) slice: all rays are crepant, so they sit on the sum-one segment
-    assert all(r[0] + r[1] == 1 for r in W.rays)
+    if any(r[0] + r[1] != 1 for r in W.rays):
+        raise TriangulationError("a slice ray is off the sum-one segment")
     return W
 
 
@@ -411,7 +423,8 @@ def amp_restriction_surjective(T: Triangulation, A: AbelianAction) -> bool:
     # one tent-shaped extreme ray per exceptional curve
     spacing = vsub(W.rays[1], W.rays[0])
     for j in range(1, m):
-        assert vsub(W.rays[j + 1], W.rays[j]) == spacing
+        if vsub(W.rays[j + 1], W.rays[j]) != spacing:
+            raise TriangulationError("the slice rays are not equally spaced")
     npts = len(T.points)
     nvars = npts + 2  # heights plus a linear gauge (alpha, beta) on the slice
     wall_ges = []
@@ -450,10 +463,12 @@ def build_containing_triangulation(J: JuniorSimplex, Y: Resolution) -> Triangula
             "resolution has a ray outside Delta'; no lift to the junior simplex"
         )
     lifts = tuple(lift_to_junior(J, v) for v in Y.rays)
-    tris = _recurse(J.lattice, E1, E2, E3, lifts)
+    tris = _recurse(J.points, E1, E2, E3, lifts)
     T = make_triangulation(J.lattice, tris)
-    assert is_basic(T)
-    assert set(T.neighbors_of(E3)) == set(lifts)
+    if not is_basic(T):
+        raise TriangulationError("the triangulation is not basic")
+    if set(T.neighbors_of(E3)) != set(lifts):
+        raise TriangulationError("the neighbours of e3 are not the lifts of Y")
     return T
 
 
@@ -461,42 +476,63 @@ def _apex_coordinate(p, P, Q, apex):
     return _barycentric(p, P, Q, apex)[2]
 
 
-def _recurse(lattice, P, Q, apex, marked):
+def _points_in_triangle(points, a, b, c):
+    """The points of `points` in the closed triangle abc, in their order,
+    tested against the triangle's three edge half-planes.
+
+    Every triangle the construction visits has lattice-point vertices in
+    Delta, so with `points` the lex-sorted junior points these are its
+    lattice points, in lexicographic order."""
+    rows = _halfplanes(project_p12(a), project_p12(b), project_p12(c), 1)
+    return [p for p in points
+            if all(al * p[0] + be * p[1] + ga >= 0 for al, be, ga in rows)]
+
+
+def _recurse(points, P, Q, apex, marked):
     # invariants: marked[0] lies on segment(P, apex) (possibly = P),
     # marked[-1] on segment(Q, apex) (possibly = Q), marked ordered by angle
-    # around apex from the P side
-    assert len(marked) >= 2
+    # around apex from the P side; `points` are the junior points
+    if len(marked) < 2:
+        raise TriangulationError("a sub-triangle has fewer than two marked points")
     candidates = [m for m in marked[:-1] if m != P]
     if not candidates:
-        return _base_triangulation(lattice, P, Q, apex, marked)
+        return _base_triangulation(points, P, Q, apex, marked)
     w = min(candidates, key=lambda m: (_apex_coordinate(m, P, Q, apex), m))
     k = marked.index(w)
     parts = []
     if _on_segment(w, P, apex):
-        assert k == 0
+        if k != 0:
+            raise TriangulationError("a marked point on the P side is not first")
     else:
-        parts += _recurse(lattice, P, w, apex, marked[: k + 1])
-    parts += _recurse(lattice, w, Q, apex, marked[k:])
+        parts += _recurse(points, P, w, apex, marked[: k + 1])
+    parts += _recurse(points, w, Q, apex, marked[k:])
     if not _on_segment(w, P, Q):
-        parts += _pull_triangulate(lattice, (w, P, Q))
+        parts += _pull_triangulate(points, (w, P, Q))
     return parts
 
 
-def _base_triangulation(lattice, P, Q, apex, marked):
-    assert marked[0] == P
-    pts = lattice_points_in_triangle(lattice, P, Q, apex)
-    edge = lattice_points_on_segment(lattice, apex, Q)
-    assert set(pts) == set(edge) | {P}, "base case points not on the far edge"
-    assert edge[1] == marked[-1], "apex neighbor differs from the marked lift"
+def _base_triangulation(points, P, Q, apex, marked):
+    if marked[0] != P:
+        raise TriangulationError("the base case does not start at its vertex")
+    pts = _points_in_triangle(points, P, Q, apex)
+    # the lattice points of [apex, Q], walked from apex: on a line the lex
+    # order is monotone, and apex is an end
+    edge = [p for p in pts if _on_segment(p, apex, Q)]
+    if edge[0] != apex:
+        edge.reverse()
+    if set(pts) != set(edge) | {P}:
+        raise TriangulationError("base case points not on the far edge")
+    if edge[1] != marked[-1]:
+        raise TriangulationError("apex neighbor differs from the marked lift")
     return [(P, a, b) for a, b in itertools.pairwise(edge)]
 
 
-def _pull_triangulate(lattice, triangle):
+def _pull_triangulate(points, triangle):
     """Pulling triangulation on all lattice points of a junior-plane
     triangle: points are pulled in lexicographic order, which keeps every
     intermediate subdivision regular; in the plane a full lattice-point
     triangulation is automatically unimodular."""
-    pts = lattice_points_in_triangle(lattice, *triangle)
+    pts = _points_in_triangle(points, *triangle)
     tris = [tuple(triangle)]
     for p in pts:
         new = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import ceil, floor, gcd, lcm
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +193,6 @@ def _residues(L: Lattice) -> frozenset:
     return frozenset(out)
 
 
-def _is_member_scaled(L: Lattice, scaled, N) -> bool:
-    # scaled integer coordinates relative to (1/N) Z^dim, N = [L:Z^dim]
-    return tuple(p % N for p in scaled) in _residues(L)
-
-
 def primitive_in_lattice(L: Lattice, v):
     """The primitive point of L on the ray R_{>=0} * v."""
     v = tuple(Fraction(c) for c in v)
@@ -215,7 +210,8 @@ def primitive_in_lattice(L: Lattice, v):
         den = ci.denominator if den == 0 else gcd(den, ci.denominator)
     t = Fraction(num, den)
     w = vscale(t, v)
-    assert is_member(L, w)
+    if not is_member(L, w):
+        raise ArithmeticError(f"the multiple {w} of {v} is not in the lattice")
     return w
 
 
@@ -244,65 +240,68 @@ def lattice_points_in_triangle(L: Lattice, a, b, c):
     return tuple(sorted(pts))
 
 
-def _points_triangle_2d(L, a, b, c):
-    ab, ac = vsub(b, a), vsub(c, a)
-    area = cross2(ab, ac)
+def _halfplanes(a, b, c, N):
+    """Integer rows (alpha, beta, gamma), one per edge of the plane triangle
+    abc: the point (p, q) / N lies in the closed triangle iff
+    alpha * p + beta * q + gamma >= 0 for all three rows."""
+    area = cross2(vsub(b, a), vsub(c, a))
     if area == 0:
         raise ValueError("degenerate triangle")
+    sign = 1 if area > 0 else -1
+    rows = []
+    for u, v in ((a, b), (b, c), (c, a)):
+        # N * cross2(v - u, x - u) at x = (p, q) / N
+        coeffs = (u[1] - v[1], v[0] - u[0], N * cross2(u, v))
+        den = lcm(*(x.denominator for x in coeffs))
+        rows.append(tuple(sign * int(x * den) for x in coeffs))
+    return rows
+
+
+def _scaled_box(a, b, c, i, N):
+    """The integers p with p / N between the least and the greatest i-th
+    coordinate of a, b and c."""
+    xs = (a[i], b[i], c[i])
+    return range(ceil(min(xs) * N), floor(max(xs) * N) + 1)
+
+
+def _points_triangle_2d(L, a, b, c):
     N = L.denominator_bound()
-    xs = [a[0], b[0], c[0]]
-    ys = [a[1], b[1], c[1]]
+    rows = _halfplanes(a, b, c, N)
+    residues = _residues(L)
     out = []
-    from math import ceil, floor
-    for p in range(ceil(min(xs) * N), floor(max(xs) * N) + 1):
-        for q in range(ceil(min(ys) * N), floor(max(ys) * N) + 1):
-            if not _is_member_scaled(L, (p, q), N):
-                continue
-            pt = (Fraction(p, N), Fraction(q, N))
-            ap = vsub(pt, a)
-            s = cross2(ap, ac) / area
-            t = cross2(ab, ap) / area
-            if s >= 0 and t >= 0 and s + t <= 1:
-                out.append(pt)
+    for p in _scaled_box(a, b, c, 0, N):
+        for q in _scaled_box(a, b, c, 1, N):
+            if (all(al * p + be * q + ga >= 0 for al, be, ga in rows)
+                    and (p % N, q % N) in residues):
+                out.append((Fraction(p, N), Fraction(q, N)))
     return out
 
 
 def _points_triangle_planar_3d(L, a, b, c):
-    ab, ac = vsub(b, a), vsub(c, a)
-    n = cross3(ab, ac)
-    if all(x == 0 for x in n):
-        raise ValueError("degenerate triangle")
+    n = cross3(vsub(b, a), vsub(c, a))
     k = max(range(3), key=lambda i: abs(n[i]))  # axis solved from plane eqn
     i1, i2 = [i for i in range(3) if i != k]
-    offset = dot(n, a)
     N = L.denominator_bound()
-    # barycentric test via projection to the (i1, i2) coordinate plane
-    denom = ab[i1] * ac[i2] - ab[i2] * ac[i1]
-    assert denom != 0
-    from math import ceil, floor
-    lo1 = ceil(min(a[i1], b[i1], c[i1]) * N)
-    hi1 = floor(max(a[i1], b[i1], c[i1]) * N)
-    lo2 = ceil(min(a[i2], b[i2], c[i2]) * N)
-    hi2 = floor(max(a[i2], b[i2], c[i2]) * N)
+    # containment is decided in the projection to the (i1, i2) plane, which
+    # is degenerate iff n = 0
+    rows = _halfplanes(*((p[i1], p[i2]) for p in (a, b, c)), N)
+    # the plane n.x = n.a on scaled coordinates X = N x, with integer m
+    den = lcm(*(x.denominator for x in (*n, dot(n, a))))
+    m = [int(x * den) for x in n]
+    m0 = int(dot(n, a) * den) * N
+    residues = _residues(L)
     out = []
-    for p in range(lo1, hi1 + 1):
-        for q in range(lo2, hi2 + 1):
-            x1 = Fraction(p, N)
-            x2 = Fraction(q, N)
-            xk = (offset - n[i1] * x1 - n[i2] * x2) / n[k]
-            if (xk * N).denominator != 1:
+    for p in _scaled_box(a, b, c, i1, N):
+        for q in _scaled_box(a, b, c, i2, N):
+            if any(al * p + be * q + ga < 0 for al, be, ga in rows):
                 continue
-            pt = [None, None, None]
-            pt[i1], pt[i2], pt[k] = x1, x2, xk
-            pt = tuple(pt)
-            scaled = tuple(int(x * N) for x in pt)
-            if not _is_member_scaled(L, scaled, N):
+            r = m0 - m[i1] * p - m[i2] * q
+            if r % m[k]:
                 continue
-            d1 = vsub(pt, a)
-            s = (d1[i1] * ac[i2] - d1[i2] * ac[i1]) / denom
-            t = (ab[i1] * d1[i2] - ab[i2] * d1[i1]) / denom
-            if s >= 0 and t >= 0 and s + t <= 1:
-                out.append(pt)
+            pt = [0, 0, 0]
+            pt[i1], pt[i2], pt[k] = p, q, r // m[k]
+            if tuple(x % N for x in pt) in residues:
+                out.append(tuple(Fraction(x, N) for x in pt))
     return out
 
 
@@ -318,5 +317,6 @@ def lattice_points_on_segment(L: Lattice, a, b):
     step = primitive_in_lattice(L, d)
     i = next(i for i in range(len(d)) if d[i] != 0)
     count = d[i] / step[i]
-    assert count.denominator == 1 and count > 0
+    if count.denominator != 1 or count <= 0:
+        raise ArithmeticError("the primitive step does not divide the segment")
     return tuple(vadd(a, vscale(j, step)) for j in range(count.numerator + 1))

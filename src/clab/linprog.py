@@ -2,7 +2,10 @@
 
 Feasibility of mixed equality / inequality systems via a phase-1 simplex
 with Bland's rule: returns an exact point or Farkas multipliers.  The
-junior-simplex pipeline uses it for regularity certificates and the
+tableau is integer-preserving (fraction-free; Edmonds 1967, Bareiss 1968):
+rows are scaled by one common denominator and every pivot divides exactly
+by the previous one, so no Fraction is built until the answer is read off.
+The junior-simplex pipeline uses it for regularity certificates and the
 ample-cone restriction.
 """
 
@@ -10,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass
@@ -31,47 +34,56 @@ def solve_feasibility(n, eqs, ges) -> Feasibility:
 
     On failure returns Farkas multipliers y, free on equality rows and >= 0 on
     inequality rows, with sum y_i a_i = 0 and sum y_i b_i > 0.
+
+    The tableau is kept on integers.  Every row is scaled by one common
+    denominator K; that only rescales the artificial variables and the
+    phase-1 objective by K, so the pivots, the point and the multipliers are
+    those of the rational tableau.  Pivots are Bareiss updates: the integer
+    tableau is D times the rational one, where D is the last pivot element
+    (positive, since every pivot is), and the division by the old D is exact.
     """
-    rows = [(list(a), Fraction(b), True) for a, b in eqs]
-    rows += [(list(a), Fraction(b), False) for a, b in ges]
+    rows = [([Fraction(c) for c in a], Fraction(b), True) for a, b in eqs]
+    rows += [([Fraction(c) for c in a], Fraction(b), False) for a, b in ges]
     m = len(rows)
     if m == 0:
         return Feasibility(True, tuple([ZERO] * n))
+    K = 1
+    for a, b, _ in rows:
+        if len(a) != n:
+            raise ValueError("coefficient row has wrong length")
+        for c in (*a, b):
+            K = lcm(K, c.denominator)
     nge = len(ges)
     # columns: u_0..u_{n-1}, v_0..v_{n-1} (x = u - v), slacks, artificials
     ncols = 2 * n + nge + m
+    art0 = 2 * n + nge
     tab = []
     sigma = []
     ge_seen = 0
-    for a, b, is_eq in rows:
-        if len(a) != n:
-            raise ValueError("coefficient row has wrong length")
-        row = [ZERO] * (ncols + 1)
+    for i, (a, b, is_eq) in enumerate(rows):
+        row = [0] * (ncols + 1)
         for j, c in enumerate(a):
-            c = Fraction(c)
+            c = c.numerator * (K // c.denominator)
             row[j] = c
             row[n + j] = -c
         if not is_eq:
-            row[2 * n + ge_seen] = Fraction(-1)  # a.x - s = b
+            row[2 * n + ge_seen] = -K  # a.x - s = b
             ge_seen += 1
+        b = b.numerator * (K // b.denominator)
         s = 1 if b >= 0 else -1
         if s < 0:
             row = [-c for c in row]
             b = -b
         sigma.append(s)
-        row[-1] = Fraction(b)
+        row[-1] = b
+        row[art0 + i] = 1
         tab.append(row)
-    art0 = 2 * n + nge
-    for i in range(m):
-        tab[i][art0 + i] = ONE
     basis = [art0 + i for i in range(m)]
     # phase-1 objective: minimize sum of artificials; reduced-cost row
-    obj = [ZERO] * (ncols + 1)
+    obj = [-sum(col) for col in zip(*tab)]
     for i in range(m):
-        for j in range(ncols + 1):
-            obj[j] -= tab[i][j]
-    for i in range(m):
-        obj[art0 + i] += ONE
+        obj[art0 + i] += 1
+    D = 1
 
     while True:
         enter = -1
@@ -81,40 +93,44 @@ def solve_feasibility(n, eqs, ges) -> Feasibility:
                 break
         if enter < 0:
             break
-        leave, best = -1, None
+        # ratio test rhs_i / tab_i[enter], compared by cross-multiplying
+        leave = -1
         for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best, leave = ratio, i
+            c = tab[i][enter]
+            if c > 0:
+                if leave < 0:
+                    leave = i
+                    continue
+                lhs = tab[i][-1] * tab[leave][enter]
+                rhs = tab[leave][-1] * c
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave = i
         if leave < 0:
             # phase-1 objective is bounded below by 0, so this cannot happen
-            raise AssertionError("unbounded phase-1 problem")
-        piv = tab[leave][enter]
-        tab[leave] = [c / piv for c in tab[leave]]
+            raise ArithmeticError("unbounded phase-1 problem")
+        prow = tab[leave]
+        piv = prow[enter]
         for i in range(m):
-            if i != leave and tab[i][enter] != 0:
+            if i != leave:
                 f = tab[i][enter]
-                tab[i] = [c - f * d for c, d in zip(tab[i], tab[leave])]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [c - f * d for c, d in zip(obj, tab[leave])]
+                tab[i] = [(c * piv - f * d) // D for c, d in zip(tab[i], prow)]
+        f = obj[enter]
+        obj = [(c * piv - f * d) // D for c, d in zip(obj, prow)]
+        D = piv
         basis[leave] = enter
 
-    opt = -obj[-1]
-    if opt == 0:
+    if obj[-1] == 0:
         x = [ZERO] * n
         for i, bv in enumerate(basis):
-            val = tab[i][-1]
+            val = Fraction(tab[i][-1], D)
             if bv < n:
                 x[bv] += val
             elif bv < 2 * n:
                 x[bv - n] -= val
         return Feasibility(True, tuple(x))
-    # Farkas: pi_i = 1 - reduced cost of artificial i; y_i = sigma_i * pi_i
-    y = tuple(sigma[i] * (ONE - obj[art0 + i]) for i in range(m))
+    # Farkas: pi_i = 1 - reduced cost of artificial i; y_i = sigma_i * pi_i.
+    # The reduced costs of the artificials do not depend on K.
+    y = tuple(sigma[i] * Fraction(D - obj[art0 + i], D) for i in range(m))
     return Feasibility(False, farkas=y)
 
 

@@ -13,12 +13,10 @@ from math import gcd
 
 from .lattice import (
     Lattice,
-    _is_member_scaled,
+    _residues,
     cross2,
-    is_member,
     lattice_from_generators,
     lattice_points_in_triangle,
-    pair_determinant,
     primitive_in_lattice,
     rat_str,
     vadd,
@@ -117,9 +115,11 @@ def boundary_divisor(A: AbelianAction) -> BoundaryDivisor:
     e2p = primitive_in_lattice(N2, E2)
     m1 = 1 / e1p[0]
     m2 = 1 / e2p[1]
-    assert m1.denominator == 1 and m2.denominator == 1
+    if m1.denominator != 1 or m2.denominator != 1:
+        raise ValueError("the primitive axis points are not of the form e_i/m_i")
     m1, m2 = m1.numerator, m2.numerator
-    assert A.order % m1 == 0 and A.order % m2 == 0
+    if A.order % m1 or A.order % m2:
+        raise ValueError(f"m1={m1}, m2={m2} do not divide the order {A.order}")
     return BoundaryDivisor(m1, m2)
 
 
@@ -151,24 +151,36 @@ class Resolution:
 
 
 def make_resolution(lattice: Lattice, rays) -> Resolution:
+    """Validate a ray sequence on integers: each ray scaled by N = [L : Z^2]
+    must be an integer point whose residue lies in L, and each consecutive
+    pair must have cross product exactly N (a positively ordered L-basis)."""
     rays = tuple(tuple(Fraction(x) for x in r) for r in rays)
     if len(rays) < 2:
         raise ValueError("a resolution needs at least the two boundary rays")
+    if lattice.dim != 2 or any(len(r) != 2 for r in rays):
+        raise ValueError("dimension mismatch")
     if not (rays[0][1] == 0 and rays[0][0] > 0):
         raise ValueError("v0 must lie on the positive x-axis")
     if not (rays[-1][0] == 0 and rays[-1][1] > 0):
         raise ValueError("v_s must lie on the positive y-axis")
+    N = lattice.denominator_bound()
+    residues = _residues(lattice)
+    scaled = []
     for r in rays:
         if r[0] < 0 or r[1] < 0:
             raise ValueError("rays must lie in the nonnegative quadrant")
         # with the unimodular pairs below this makes r primitive: a basis
         # vector is primitive
-        if not is_member(lattice, r):
+        U = tuple(x.numerator * N // x.denominator for x in r)
+        if (any(N % x.denominator for x in r)
+                or tuple(c % N for c in U) not in residues):
             raise ValueError(f"ray {r} is not a lattice point")
-    for u, v in itertools.pairwise(rays):
-        if cross2(u, v) <= 0:
+        scaled.append(U)
+    for (u, U), (v, V) in itertools.pairwise(zip(rays, scaled)):
+        det = cross2(U, V)  # N times det[u v] / det(L basis)
+        if det <= 0:
             raise ValueError("rays must be strictly ordered by angle")
-        if pair_determinant(lattice, u, v) not in (1, -1):
+        if det != N:
             raise ValueError(f"consecutive rays {u}, {v} are not a lattice basis")
     disc = tuple(r[0] + r[1] - 1 for r in rays[1:-1])
     return Resolution(rays, lattice, disc)
@@ -198,11 +210,12 @@ def minimal_resolution(N2: Lattice) -> Resolution:
     N = N2.denominator_bound()
     X = int(e1p[0] * N)
     Y = int(e2p[1] * N)
+    residues = _residues(N2)
     pts = [
         (p, q)
         for p in range(X + 1)
         for q in range(Y + 1)
-        if (p, q) != (0, 0) and _is_member_scaled(N2, (p, q), N)
+        if (p, q) != (0, 0) and (p % N, q % N) in residues
     ]
     pts.sort()  # x ascending, then y ascending; pts[0] is e2p scaled
     if pts[0] != (0, Y):

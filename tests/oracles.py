@@ -8,17 +8,28 @@ the moduli fan are recomputed by Fourier-Motzkin projection of the full
 gauge-potential system, and the one-parameter-subgroup limits by the exact
 simplex.  The lattice residues, the admissible resolutions and the
 stability masks are recomputed by the exhaustive searches the library
-replaced with direct constructions.
+replaced with direct constructions.  The simplex itself, the resolution
+check and the triangle scans are checked against the Fraction versions the
+library replaced with integer ones.
 """
 
 import itertools
 from fractions import Fraction as F
-from math import gcd
+from math import ceil, floor, gcd
 
-from clab.lattice import is_member, primitive_in_lattice
-from clab.linprog import solve_feasibility
+from clab.lattice import (
+    cross2,
+    cross3,
+    dot,
+    is_member,
+    pair_determinant,
+    primitive_in_lattice,
+    vsub,
+)
+from clab.linprog import Feasibility, solve_feasibility
 from clab.quiver import ARROW_STEP
 from clab.surface import (
+    Resolution,
     make_resolution,
     maximal_resolution,
     minimal_resolution,
@@ -209,6 +220,107 @@ def project(n, eqs, ges, keep):
 
 
 # ---------------------------------------------------------------------------
+# the rational simplex
+
+
+def fraction_simplex(n, eqs, ges):
+    """The phase-1 simplex with Bland's rule on a tableau of Fractions,
+    pivot by pivot the one `solve_feasibility` runs on integers.  Row
+    updates skip the zero entries of the pivot row, which changes no value.
+
+    Decide whether some x in Q^n satisfies a.x = b for (a, b) in `eqs`
+    and a.x >= b for (a, b) in `ges` (x unrestricted in sign).
+
+    On failure returns Farkas multipliers y, free on equality rows and >= 0 on
+    inequality rows, with sum y_i a_i = 0 and sum y_i b_i > 0.
+    """
+    rows = [(list(a), F(b), True) for a, b in eqs]
+    rows += [(list(a), F(b), False) for a, b in ges]
+    m = len(rows)
+    if m == 0:
+        return Feasibility(True, tuple([ZERO] * n))
+    nge = len(ges)
+    # columns: u_0..u_{n-1}, v_0..v_{n-1} (x = u - v), slacks, artificials
+    ncols = 2 * n + nge + m
+    tab = []
+    sigma = []
+    ge_seen = 0
+    for a, b, is_eq in rows:
+        if len(a) != n:
+            raise ValueError("coefficient row has wrong length")
+        row = [ZERO] * (ncols + 1)
+        for j, c in enumerate(a):
+            c = F(c)
+            row[j] = c
+            row[n + j] = -c
+        if not is_eq:
+            row[2 * n + ge_seen] = F(-1)  # a.x - s = b
+            ge_seen += 1
+        s = 1 if b >= 0 else -1
+        if s < 0:
+            row = [-c for c in row]
+            b = -b
+        sigma.append(s)
+        row[-1] = F(b)
+        tab.append(row)
+    art0 = 2 * n + nge
+    for i in range(m):
+        tab[i][art0 + i] = ONE
+    basis = [art0 + i for i in range(m)]
+    # phase-1 objective: minimize sum of artificials; reduced-cost row
+    obj = [ZERO] * (ncols + 1)
+    for i in range(m):
+        for j in range(ncols + 1):
+            obj[j] -= tab[i][j]
+    for i in range(m):
+        obj[art0 + i] += ONE
+
+    while True:
+        enter = -1
+        for j in range(ncols):
+            if obj[j] < 0:  # Bland: smallest index
+                enter = j
+                break
+        if enter < 0:
+            break
+        leave, best = -1, None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][-1] / tab[i][enter]
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leave]
+                ):
+                    best, leave = ratio, i
+        if leave < 0:
+            # phase-1 objective is bounded below by 0, so this cannot happen
+            raise AssertionError("unbounded phase-1 problem")
+        piv = tab[leave][enter]
+        tab[leave] = [c / piv if c else c for c in tab[leave]]
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [c - f * d if d else c for c, d in zip(tab[i], tab[leave])]
+        if obj[enter] != 0:
+            f = obj[enter]
+            obj = [c - f * d if d else c for c, d in zip(obj, tab[leave])]
+        basis[leave] = enter
+
+    opt = -obj[-1]
+    if opt == 0:
+        x = [ZERO] * n
+        for i, bv in enumerate(basis):
+            val = tab[i][-1]
+            if bv < n:
+                x[bv] += val
+            elif bv < 2 * n:
+                x[bv - n] -= val
+        return Feasibility(True, tuple(x))
+    # Farkas: pi_i = 1 - reduced cost of artificial i; y_i = sigma_i * pi_i
+    y = tuple(sigma[i] * (ONE - obj[art0 + i]) for i in range(m))
+    return Feasibility(False, farkas=y)
+
+
+# ---------------------------------------------------------------------------
 # the gauge-potential system of a torus-fixed support
 
 
@@ -357,3 +469,106 @@ def upclosed_masks(Q, arrows):
         s for s in range(1, full)
         if all(succ[v] & ~s == 0 for v in range(m) if s & (1 << v))
     )
+
+
+# ---------------------------------------------------------------------------
+# the Fraction checks and scans behind the integer ones
+
+
+def make_resolution_by_fractions(lattice, rays):
+    """`make_resolution` as a Fraction membership test per ray and a
+    Fraction determinant per consecutive pair."""
+    rays = tuple(tuple(F(x) for x in r) for r in rays)
+    if len(rays) < 2:
+        raise ValueError("a resolution needs at least the two boundary rays")
+    if not (rays[0][1] == 0 and rays[0][0] > 0):
+        raise ValueError("v0 must lie on the positive x-axis")
+    if not (rays[-1][0] == 0 and rays[-1][1] > 0):
+        raise ValueError("v_s must lie on the positive y-axis")
+    for r in rays:
+        if r[0] < 0 or r[1] < 0:
+            raise ValueError("rays must lie in the nonnegative quadrant")
+        # with the unimodular pairs below this makes r primitive: a basis
+        # vector is primitive
+        if not is_member(lattice, r):
+            raise ValueError(f"ray {r} is not a lattice point")
+    for u, v in itertools.pairwise(rays):
+        if cross2(u, v) <= 0:
+            raise ValueError("rays must be strictly ordered by angle")
+        if pair_determinant(lattice, u, v) not in (1, -1):
+            raise ValueError(f"consecutive rays {u}, {v} are not a lattice basis")
+    disc = tuple(r[0] + r[1] - 1 for r in rays[1:-1])
+    return Resolution(rays, lattice, disc)
+
+
+def _member_scaled(L, scaled, N):
+    return is_member(L, tuple(F(p, N) for p in scaled))
+
+
+def points_in_triangle_by_fractions(L, a, b, c):
+    """`lattice_points_in_triangle` by a scan of the (1/N)-grid box with a
+    Fraction barycentric test per grid point."""
+    a, b, c = (tuple(F(x) for x in p) for p in (a, b, c))
+    if L.dim == 2:
+        return tuple(sorted(_points_triangle_2d(L, a, b, c)))
+    return tuple(sorted(_points_triangle_planar_3d(L, a, b, c)))
+
+
+def _points_triangle_2d(L, a, b, c):
+    ab, ac = vsub(b, a), vsub(c, a)
+    area = cross2(ab, ac)
+    if area == 0:
+        raise ValueError("degenerate triangle")
+    N = L.denominator_bound()
+    xs = [a[0], b[0], c[0]]
+    ys = [a[1], b[1], c[1]]
+    out = []
+    for p in range(ceil(min(xs) * N), floor(max(xs) * N) + 1):
+        for q in range(ceil(min(ys) * N), floor(max(ys) * N) + 1):
+            if not _member_scaled(L, (p, q), N):
+                continue
+            pt = (F(p, N), F(q, N))
+            ap = vsub(pt, a)
+            s = cross2(ap, ac) / area
+            t = cross2(ab, ap) / area
+            if s >= 0 and t >= 0 and s + t <= 1:
+                out.append(pt)
+    return out
+
+
+def _points_triangle_planar_3d(L, a, b, c):
+    ab, ac = vsub(b, a), vsub(c, a)
+    n = cross3(ab, ac)
+    if all(x == 0 for x in n):
+        raise ValueError("degenerate triangle")
+    k = max(range(3), key=lambda i: abs(n[i]))  # axis solved from plane eqn
+    i1, i2 = [i for i in range(3) if i != k]
+    offset = dot(n, a)
+    N = L.denominator_bound()
+    # barycentric test via projection to the (i1, i2) coordinate plane
+    denom = ab[i1] * ac[i2] - ab[i2] * ac[i1]
+    assert denom != 0
+    lo1 = ceil(min(a[i1], b[i1], c[i1]) * N)
+    hi1 = floor(max(a[i1], b[i1], c[i1]) * N)
+    lo2 = ceil(min(a[i2], b[i2], c[i2]) * N)
+    hi2 = floor(max(a[i2], b[i2], c[i2]) * N)
+    out = []
+    for p in range(lo1, hi1 + 1):
+        for q in range(lo2, hi2 + 1):
+            x1 = F(p, N)
+            x2 = F(q, N)
+            xk = (offset - n[i1] * x1 - n[i2] * x2) / n[k]
+            if (xk * N).denominator != 1:
+                continue
+            pt = [None, None, None]
+            pt[i1], pt[i2], pt[k] = x1, x2, xk
+            pt = tuple(pt)
+            scaled = tuple(int(x * N) for x in pt)
+            if not _member_scaled(L, scaled, N):
+                continue
+            d1 = vsub(pt, a)
+            s = (d1[i1] * ac[i2] - d1[i2] * ac[i1]) / denom
+            t = (ab[i1] * d1[i2] - ab[i2] * d1[i1]) / denom
+            if s >= 0 and t >= 0 and s + t <= 1:
+                out.append(pt)
+    return out

@@ -212,7 +212,9 @@ def test_verify_same_under_python_O():
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys; from clab.cli import main; sys.exit(main(sys.argv[1:]))"
     runs = {"verify": ["--n", "7", "--gens", "1,3"],
-            "resolutions": ["--n", "18", "--gens", "1,5;0,9"]}
+            "resolutions": ["--n", "18", "--gens", "1,5;0,9"],
+            "triangulate": ["--n", "18", "--gens", "1,5;0,9",
+                            "--resolution", "36"]}
     plain = {}
     for command, argv in runs.items():
         reports = []
@@ -230,3 +232,5 @@ def test_verify_same_under_python_O():
         plain[command] = reports[0]
     assert plain["verify"]["verdict"] == "pass"
     assert plain["resolutions"]["count"] == 72
+    tri = plain["triangulate"]
+    assert tri["basic"] and tri["regular"] and tri["amp_restriction_surjective"]

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import clab.junior as junior
 from clab.junior import (
     E1,
     E2,
@@ -11,6 +12,7 @@ from clab.junior import (
     InadmissibleResolutionError,
     PLSupportFunction,
     RegularityRefusal,
+    TriangulationError,
     amp_restriction_surjective,
     build_containing_triangulation,
     build_junior,
@@ -25,8 +27,8 @@ from clab.junior import (
     star_subdivide,
     stabilizer_x_axis,
 )
-from clab.lattice import lattice_from_generators, vec
-from clab.linprog import check_farkas
+from clab.lattice import lattice_from_generators, lattice_points_in_triangle, vec
+from clab.linprog import Feasibility, check_farkas, solve_feasibility
 from clab.surface import (
     build_action,
     build_N2,
@@ -35,6 +37,8 @@ from clab.surface import (
     maximal_resolution,
     minimal_resolution,
 )
+
+from .oracles import fraction_simplex
 
 
 def cyclic(n, a, b):
@@ -222,6 +226,26 @@ def test_regularity_refusal_on_spiral():
     assert check_farkas(len(T.points), [], rows, ref.farkas)
 
 
+def test_regularity_certificate_rechecks_heights(monkeypatch):
+    # the certificate check is a raise, so it holds under python -O too
+    A = cyclic(8, 1, 3)
+    T = build_containing_triangulation(build_junior(A),
+                                       maximal_resolution(build_N2(A)))
+    monkeypatch.setattr(junior, "solve_feasibility",
+                        lambda n, eqs, ges: Feasibility(True, (F(0),) * n))
+    with pytest.raises(TriangulationError):
+        regularity_certificate(T)
+
+
+def test_wall_rows_reject_overlapping_triangles():
+    # both triangles lie on the same side of their common edge e1 e2
+    A = cyclic(3, 1, 1)
+    b = vec(F(1, 3), F(1, 3), F(1, 3))
+    T = make_triangulation(build_junior(A).lattice, [(E1, E2, E3), (E1, E2, b)])
+    with pytest.raises(ValueError):
+        nef_cone(T)
+
+
 def test_certificate_heights_verify():
     A = cyclic(8, 1, 3)
     J = build_junior(A)
@@ -313,3 +337,63 @@ def test_containing_triangulation_invariants(n, a, b):
         lifts = {lift_to_junior(J, v) for v in Y.rays}
         assert set(T.neighbors_of(E3)) == lifts
         assert covers_simplex(T)
+
+
+# ---------------------------------------------------------------------------
+# the integer simplex and the junior-point filter against what they replaced
+
+TRIANGULATE_GROUPS = [
+    (24, [(1, 7)]), (12, [(1, 7), (0, 6)]), (12, [(1, 5), (0, 6)]),
+    (30, [(1, 11)]), (18, [(1, 5), (0, 9)]),
+]
+
+
+def test_certificate_lps_match_fraction_simplex(monkeypatch):
+    # every LP of the regularity certificate and the amp restriction, for all
+    # admissible resolutions of 1/12(1,7;0,6) and for min and max of the
+    # triangulate groups: identical point or Farkas vector
+    solved = []
+
+    def both(n, eqs, ges):
+        res = solve_feasibility(n, eqs, ges)
+        ref = fraction_simplex(n, eqs, ges)
+        assert (res.feasible, res.point, res.farkas) == (
+            ref.feasible, ref.point, ref.farkas)
+        solved.append(res.feasible)
+        return res
+
+    monkeypatch.setattr(junior, "solve_feasibility", both)
+    cases = []
+    for n, gens in TRIANGULATE_GROUPS:
+        A = build_action(n, gens)
+        N2 = build_N2(A)
+        if (n, gens) == (12, [(1, 7), (0, 6)]):
+            cases += [(A, Y) for Y in enumerate_admissible_resolutions(N2)]
+        else:
+            cases += [(A, minimal_resolution(N2)), (A, maximal_resolution(N2))]
+    for A, Y in cases:
+        T = build_containing_triangulation(build_junior(A), Y)
+        assert isinstance(regularity_certificate(T), PLSupportFunction)
+        assert amp_restriction_surjective(T, A)
+    assert len(solved) > len(cases)
+
+
+@pytest.mark.parametrize("n,gens", [(8, [(1, 3)]), (12, [(1, 5), (0, 6)]),
+                                    (18, [(1, 5), (0, 9)])])
+def test_junior_point_filter_equals_lattice_scan(monkeypatch, n, gens):
+    A = build_action(n, gens)
+    J = build_junior(A)
+    filtered = junior._points_in_triangle
+    visited = []
+
+    def checked(points, a, b, c):
+        pts = filtered(points, a, b, c)
+        assert tuple(pts) == lattice_points_in_triangle(J.lattice, a, b, c)
+        visited.append((a, b, c))
+        return pts
+
+    monkeypatch.setattr(junior, "_points_in_triangle", checked)
+    resolutions = enumerate_admissible_resolutions(build_N2(A))
+    for Y in resolutions:
+        build_containing_triangulation(J, Y)
+    assert len(visited) >= len(resolutions)

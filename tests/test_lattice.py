@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +14,8 @@ from clab.lattice import (
     primitive_in_lattice,
     vec,
 )
+
+from .oracles import points_in_triangle_by_fractions
 
 
 def N2_of(n, a, b):
@@ -169,3 +172,39 @@ def test_triangle_symmetry_under_axis_swap(n):
     L = N2_of(n, 1, 1)
     pts = lattice_points_in_triangle(L, (0, 0), (1, 0), (0, 1))
     assert {(p[1], p[0]) for p in pts} == set(pts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(weights, st.integers(0, 10 ** 6))
+def test_triangle_points_match_fraction_scan(w, seed):
+    # integer half-planes against the Fraction barycentric scan, on triangles
+    # with lattice and non-lattice vertices, in the plane and on rational
+    # planes in 3-space
+    n, a, b = w
+    rng = random.Random(seed)
+
+    def rat(lo=-2 * n, hi=4 * n):
+        return F(rng.randint(lo, hi), 2 * n)
+
+    L2 = N2_of(n, a, b)
+    L3 = lattice_from_generators(3, [(F(a, n), F(b, n), F(-a - b, n))])
+    for L in (L2, L3):
+        tris = [((0, 0, 0)[:L.dim], (1, 0, 0)[:L.dim], (0, 1, 0)[:L.dim])]
+        if L.dim == 3:
+            tris.append(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        for _ in range(4):
+            tris.append(tuple(tuple(rat() for _ in range(L.dim))
+                              for _ in range(3)))
+        if L.dim == 3:  # on the junior plane
+            for _ in range(4):
+                tris.append(tuple((x, y, 1 - x - y)
+                                  for x, y in ((rat(0, 2 * n), rat(0, 2 * n))
+                                               for _ in range(3))))
+        for tri in tris:
+            try:
+                expected = points_in_triangle_by_fractions(L, *tri)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    lattice_points_in_triangle(L, *tri)
+                continue
+            assert lattice_points_in_triangle(L, *tri) == expected

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from clab.linprog import check_farkas, solve_feasibility
 
-from .oracles import project
+from .oracles import fraction_simplex, project
 
 
 def test_simple_feasible():
@@ -77,6 +77,29 @@ def test_random_systems_point_or_certificate(seed):
             assert sum(c * v for c, v in zip(a, x)) >= b
     else:
         assert check_farkas(n, eqs, ges, r.farkas)
+
+
+# the integer tableau against the rational one
+
+
+def _same(a, b):
+    return (a.feasible, a.point, a.farkas) == (b.feasible, b.point, b.farkas)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_integer_tableau_matches_fraction_simplex(seed):
+    # mixed systems with fractional coefficients: one common denominator
+    # keeps the pivot path, so the point or the Farkas vector is identical
+    rng = random.Random(seed)
+    n = rng.randint(1, 5)
+
+    def q():
+        return F(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 4, 5, 6, 9]))
+
+    eqs = [([q() for _ in range(n)], q()) for _ in range(rng.randint(0, 3))]
+    ges = [([q() for _ in range(n)], q()) for _ in range(rng.randint(1, 7))]
+    assert _same(solve_feasibility(n, eqs, ges), fraction_simplex(n, eqs, ges))
 
 
 # Fourier-Motzkin projection, the test oracle for the moduli-fan cones

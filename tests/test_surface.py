@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -17,9 +18,15 @@ from clab.surface import (
     maximal_resolution,
     minimal_resolution,
     resolution_from_json,
+    sort_rays_by_angle,
 )
 
-from .oracles import admissible_by_subsets, hj_minimal_rays, residues_by_scan
+from .oracles import (
+    admissible_by_subsets,
+    hj_minimal_rays,
+    make_resolution_by_fractions,
+    residues_by_scan,
+)
 
 
 def cyclic(n, a, b):
@@ -209,6 +216,78 @@ def test_admissible_by_blowups_equal_subset_enumeration():
     for group in COLD_GROUPS + TRIANGULATE_GROUPS:
         N2 = build_N2(build_action(*group))
         assert enumerate_admissible_resolutions(N2) == admissible_by_subsets(N2), group
+
+
+def _check_or_message(make, lattice, rays):
+    try:
+        Y = make(lattice, rays)
+    except ValueError as e:
+        return str(e)
+    return (Y.rays, Y.discrepancies)
+
+
+BAD_SEQUENCES = [
+    (cyclic(8, 1, 3), [(1, 0), (F(1, 2), F(1, 2)), (0, 1)]),
+    (cyclic(8, 1, 3), [(F(1, 8), F(3, 8)), (0, 1)]),
+    (cyclic(8, 1, 3), [(1, 0), (F(1, 4), F(3, 4)), (0, 1)]),
+    (build_action(1, []), [(F(1, 2), 0), (0, 2)]),
+    (cyclic(8, 1, 3), [(1, 0)]),
+    (cyclic(8, 1, 3), [(1, 0), (0, -1), (0, 1)]),
+    (cyclic(8, 1, 3), [(1, 0), (F(1, 8), F(3, 8)), (F(3, 8), F(1, 8)), (0, 1)]),
+    (cyclic(2, 1, 0), [(F(1, 2), 0), (F(1, 2), 1), (0, 1)]),
+]
+
+
+def test_make_resolution_matches_fraction_check():
+    # the integer check accepts and rejects the same sequences, with the
+    # same message: every admissible resolution, sequences with a ray
+    # dropped, doubled or nudged off the lattice, and the hand-made cases
+    cases = list(BAD_SEQUENCES)
+    for group in COLD_GROUPS[::3] + TRIANGULATE_GROUPS:
+        A = build_action(*group)
+        N = build_N2(A).denominator_bound()
+        for Y in enumerate_admissible_resolutions(build_N2(A))[:12]:
+            rays = list(Y.rays)
+            cases.append((A, rays))
+            for i in range(len(rays)):
+                cases.append((A, rays[:i] + rays[i + 1:]))
+                cases.append((A, rays[:i] + [tuple(2 * c for c in rays[i])]
+                              + rays[i + 1:]))
+                nudged = (rays[i][0] + F(1, 2 * N), rays[i][1])
+                cases.append((A, rays[:i] + [nudged] + rays[i + 1:]))
+    for A, rays in cases:
+        N2 = build_N2(A)
+        assert (_check_or_message(make_resolution, N2, rays)
+                == _check_or_message(make_resolution_by_fractions, N2, rays)), rays
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 11), st.integers(0, 11),
+       st.integers(0, 10 ** 6))
+def test_make_resolution_matches_fraction_check_random(n, a, b, seed):
+    # rays drawn from the maximal resolution, from other lattice points and
+    # from the (1/2n)-grid, kept in angle order or not
+    rng = random.Random(seed)
+    N2 = build_N2(cyclic(n, a, b))
+    rmax = list(maximal_resolution(N2).rays)
+    pool = rmax[1:-1] * 3
+    for _ in range(3):
+        k, i, j = rng.randrange(n), rng.randint(0, 1), rng.randint(0, 1)
+        pool.append((F(k * a % n, n) + i, F(k * b % n, n) + j))
+        pool.append((F(rng.randint(0, 2 * n), 2 * n),
+                     F(rng.randint(0, 2 * n), 2 * n)))
+    inner = rng.sample(pool, rng.randint(0, min(len(pool), 6)))
+    if rng.random() < 0.5:
+        inner = [r for r in rmax[1:-1] if rng.random() < 0.7]
+    elif rng.random() < 0.7:
+        inner = sort_rays_by_angle([r for r in inner if any(r)])
+    ends = [rmax[0], rmax[-1]]
+    if rng.random() < 0.2:
+        e = rng.randint(0, 1)
+        ends[e] = tuple(rng.choice([2, F(1, 2)]) * c for c in ends[e])
+    rays = [ends[0], *inner, ends[1]]
+    assert (_check_or_message(make_resolution, N2, rays)
+            == _check_or_message(make_resolution_by_fractions, N2, rays))
 
 
 # ---------------------------------------------------------------------------
