@@ -34,11 +34,13 @@ from .quiver import (
     moduli_fan,
 )
 from .surface import (
+    admissible_ray_sequences,
     boundary_divisor,
     build_action,
     build_N2,
     enumerate_admissible_resolutions,
     is_small,
+    make_resolution,
     maximal_resolution,
     minimal_resolution,
 )
@@ -166,10 +168,10 @@ def _select_resolution(cfg, N2):
         idx = int(cfg.resolution)
     except ValueError:
         raise bad from None
-    admissible = enumerate_admissible_resolutions(N2)
+    admissible = admissible_ray_sequences(N2)
     if not -len(admissible) <= idx < len(admissible):
         raise bad
-    return admissible[idx]
+    return make_resolution(N2, admissible[idx])
 
 
 def run(cfg: RunConfig):

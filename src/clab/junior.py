@@ -10,6 +10,7 @@ triangle Delta' = {a, b >= 0, a + b <= 1}.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -189,6 +190,34 @@ class Triangulation:
                 out.update(set(t) - {idx})
         return tuple(self.points[i] for i in sorted(out))
 
+    @functools.cached_property
+    def wall_rows(self):
+        """One row per interior wall: row.h >= 0 is weak convexity across the
+        wall, > 0 strict.  The row says h(d) must exceed the affine extension
+        of h from the triangle (a, b, c) on the other side.  The regularity,
+        nef-cone and amp-restriction computations all read these rows, so
+        they are built once per triangulation."""
+        rows = []
+        npts = len(self.points)
+        for edge, tris in sorted(self.edge_triangles().items()):
+            if len(tris) != 2:
+                continue
+            t1, t2 = tris
+            a_i, b_i = edge
+            c_i = next(i for i in t1 if i not in edge)
+            d_i = next(i for i in t2 if i not in edge)
+            la, lb, lc = _barycentric(self.points[d_i], self.points[a_i],
+                                      self.points[b_i], self.points[c_i])
+            if lc >= 0:
+                raise ValueError(f"the triangles on edge {edge} overlap")
+            row = [Fraction(0)] * npts
+            row[d_i] += 1
+            row[a_i] -= la
+            row[b_i] -= lb
+            row[c_i] -= lc
+            rows.append((edge, tuple(row)))
+        return tuple(rows)
+
     def to_json(self):
         return {
             "points": [[rat_str(c) for c in p] for p in self.points],
@@ -280,38 +309,11 @@ class RegularityRefusal:
     farkas: tuple
 
 
-def _wall_rows(T: Triangulation):
-    """One row per interior wall: row.h >= 0 is weak convexity across the
-    wall, > 0 strict.  The row says h(d) must exceed the affine extension of
-    h from the triangle (a, b, c) on the other side."""
-    rows = []
-    npts = len(T.points)
-    for edge, tris in sorted(T.edge_triangles().items()):
-        if len(tris) != 2:
-            continue
-        t1, t2 = tris
-        a_i, b_i = edge
-        c_i = next(i for i in t1 if i not in edge)
-        d_i = next(i for i in t2 if i not in edge)
-        la, lb, lc = _barycentric(
-            T.points[d_i], T.points[a_i], T.points[b_i], T.points[c_i]
-        )
-        if lc >= 0:
-            raise ValueError(f"the triangles on edge {edge} overlap")
-        row = [Fraction(0)] * npts
-        row[d_i] += 1
-        row[a_i] -= la
-        row[b_i] -= lb
-        row[c_i] -= lc
-        rows.append((edge, row))
-    return rows
-
-
 def regularity_certificate(T: Triangulation):
     """Rational heights strictly convex across every interior wall, or a
     refusal witness.  Strictness is encoded by the scale-invariant system
     row.h >= 1."""
-    rows = _wall_rows(T)
+    rows = T.wall_rows
     if not rows:
         return PLSupportFunction(T, tuple([Fraction(0)] * len(T.points)))
     res = solve_feasibility(len(T.points), [], [(r, 1) for _, r in rows])
@@ -379,7 +381,7 @@ def _rank(rows):
 
 
 def nef_cone(T: Triangulation) -> NefCone:
-    return NefCone(T, tuple(_wall_rows(T)))
+    return NefCone(T, T.wall_rows)
 
 
 def stabilizer_x_axis(A: AbelianAction):
@@ -428,7 +430,7 @@ def amp_restriction_surjective(T: Triangulation, A: AbelianAction) -> bool:
     npts = len(T.points)
     nvars = npts + 2  # heights plus a linear gauge (alpha, beta) on the slice
     wall_ges = []
-    for _, r in _wall_rows(T):
+    for _, r in T.wall_rows:
         wall_ges.append((list(r) + [Fraction(0), Fraction(0)], Fraction(0)))
     for k in range(1, m):
         tent = [-Fraction(min(j * (m - k), k * (m - j))) for j in range(m + 1)]

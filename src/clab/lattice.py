@@ -303,20 +303,3 @@ def _points_triangle_planar_3d(L, a, b, c):
             if tuple(x % N for x in pt) in residues:
                 out.append(tuple(Fraction(x, N) for x in pt))
     return out
-
-
-def lattice_points_on_segment(L: Lattice, a, b):
-    """Points of L on the closed segment [a, b]; endpoints must lie in L."""
-    a = tuple(Fraction(x) for x in a)
-    b = tuple(Fraction(x) for x in b)
-    if a == b:
-        return (a,)
-    if not (is_member(L, a) and is_member(L, b)):
-        raise ValueError("segment endpoints must be lattice points")
-    d = vsub(b, a)
-    step = primitive_in_lattice(L, d)
-    i = next(i for i in range(len(d)) if d[i] != 0)
-    count = d[i] / step[i]
-    if count.denominator != 1 or count <= 0:
-        raise ArithmeticError("the primitive step does not divide the segment")
-    return tuple(vadd(a, vscale(j, step)) for j in range(count.numerator + 1))

@@ -3,17 +3,18 @@
 Feasibility of mixed equality / inequality systems via a phase-1 simplex
 with Bland's rule: returns an exact point or Farkas multipliers.  The
 tableau is integer-preserving (fraction-free; Edmonds 1967, Bareiss 1968):
-rows are scaled by one common denominator and every pivot divides exactly
-by the previous one, so no Fraction is built until the answer is read off.
-The junior-simplex pipeline uses it for regularity certificates and the
-ample-cone restriction.
+each row is kept as a primitive integer vector, a positive multiple of its
+rational row, so no Fraction is built until the answer is read off.  A pivot
+updates only the rows with a nonzero entry in the entering column, and only
+on the pivot row's nonzero columns.  The junior-simplex pipeline uses it for
+regularity certificates and the ample-cone restriction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 ZERO = Fraction(0)
 
@@ -28,6 +29,25 @@ class Feasibility:
         return self.feasible
 
 
+def _primitive(row):
+    g = gcd(*row)
+    return row if g == 1 else [c // g for c in row]
+
+
+def _eliminate(row, f, p, pivot_nz):
+    """`row * p - f * pivot_row` divided by the gcd of its entries: a
+    positive multiple of the rational row update, with a zero in the
+    entering column (f and p are the two rows' entries there, p > 0).
+    `row` may be updated in place."""
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    if a != 1:
+        row = [c * a for c in row]
+    for k, d in pivot_nz:
+        row[k] -= b * d
+    return _primitive(row)
+
+
 def solve_feasibility(n, eqs, ges) -> Feasibility:
     """Decide whether some x in Q^n satisfies a.x = b for (a, b) in `eqs`
     and a.x >= b for (a, b) in `ges` (x unrestricted in sign).
@@ -35,102 +55,113 @@ def solve_feasibility(n, eqs, ges) -> Feasibility:
     On failure returns Farkas multipliers y, free on equality rows and >= 0 on
     inequality rows, with sum y_i a_i = 0 and sum y_i b_i > 0.
 
-    The tableau is kept on integers.  Every row is scaled by one common
-    denominator K; that only rescales the artificial variables and the
-    phase-1 objective by K, so the pivots, the point and the multipliers are
-    those of the rational tableau.  Pivots are Bareiss updates: the integer
-    tableau is D times the rational one, where D is the last pivot element
-    (positive, since every pivot is), and the division by the old D is exact.
+    The tableau is kept on integers, with one positive scale per row: a
+    stored row is its rational row times some positive factor, reduced by the
+    gcd of its entries after every update.  The ratio test compares
+    rhs_i / a_i[enter] within one row and Bland's rule reads only the signs
+    of the objective row, so neither sees the scales and the pivots, the
+    point and the multipliers are those of the rational tableau.  The
+    objective row carries its own scale as an extra last entry, since the
+    multipliers need its values, not only its signs.
+
+    x = u - v, but the columns of v are not stored: every row operation keeps
+    column v_j equal to minus column u_j, so Bland's rule reads the reduced
+    cost of v_j as -obj[j], and a v_j that enters pivots on a negated local
+    copy of the pivot row.  The stored row keeps its positive scale.
     """
-    rows = [([Fraction(c) for c in a], Fraction(b), True) for a, b in eqs]
-    rows += [([Fraction(c) for c in a], Fraction(b), False) for a, b in ges]
+    rows = [(a, b, True) for a, b in eqs] + [(a, b, False) for a, b in ges]
     m = len(rows)
     if m == 0:
         return Feasibility(True, tuple([ZERO] * n))
-    K = 1
-    for a, b, _ in rows:
-        if len(a) != n:
-            raise ValueError("coefficient row has wrong length")
-        for c in (*a, b):
-            K = lcm(K, c.denominator)
     nge = len(ges)
-    # columns: u_0..u_{n-1}, v_0..v_{n-1} (x = u - v), slacks, artificials
-    ncols = 2 * n + nge + m
-    art0 = 2 * n + nge
+    # stored columns: u_0..u_{n-1}, slacks, artificials, then the rhs B.  The
+    # logical columns (Bland's order, `basis`) put v_0..v_{n-1} after u, so
+    # stored column k >= n is logical column n + k
+    art0 = n + nge
+    B = art0 + m
     tab = []
     sigma = []
-    ge_seen = 0
     for i, (a, b, is_eq) in enumerate(rows):
-        row = [0] * (ncols + 1)
+        a = [Fraction(c) for c in a]
+        b = Fraction(b)
+        if len(a) != n:
+            raise ValueError("coefficient row has wrong length")
+        K = lcm(b.denominator, *(c.denominator for c in a))
+        row = [0] * (B + 1)
         for j, c in enumerate(a):
-            c = c.numerator * (K // c.denominator)
-            row[j] = c
-            row[n + j] = -c
+            row[j] = c.numerator * (K // c.denominator)
         if not is_eq:
-            row[2 * n + ge_seen] = -K  # a.x - s = b
-            ge_seen += 1
-        b = b.numerator * (K // b.denominator)
+            row[n + i - len(eqs)] = -K  # a.x - s = b
+        row[B] = b.numerator * (K // b.denominator)
         s = 1 if b >= 0 else -1
         if s < 0:
             row = [-c for c in row]
-            b = -b
         sigma.append(s)
-        row[-1] = b
-        row[art0 + i] = 1
-        tab.append(row)
-    basis = [art0 + i for i in range(m)]
-    # phase-1 objective: minimize sum of artificials; reduced-cost row
-    obj = [-sum(col) for col in zip(*tab)]
-    for i in range(m):
-        obj[art0 + i] += 1
-    D = 1
+        row[art0 + i] = K
+        tab.append(_primitive(row))
+    basis = [n + art0 + i for i in range(m)]
+    # phase-1 objective: minimize sum of artificials; reduced-cost row,
+    # scaled by S = lcm of the row scales, then S itself
+    S = lcm(*(r[art0 + i] for i, r in enumerate(tab)))
+    obj = [0] * (B + 2)
+    for i, r in enumerate(tab):
+        f = S // r[art0 + i]
+        for j, c in enumerate(r):
+            if c:
+                obj[j] -= f * c
+        obj[art0 + i] += S
+    obj[-1] = S
+    obj = _primitive(obj)
 
     while True:
-        enter = -1
-        for j in range(ncols):
-            if obj[j] < 0:  # Bland: smallest index
-                enter = j
-                break
+        # Bland: smallest logical index with a negative reduced cost
+        enter = next((j for j in range(n) if obj[j] < 0), -1)
+        if enter < 0:
+            enter = next((n + j for j in range(n) if obj[j] > 0), -1)
+        if enter < 0:
+            enter = next((n + k for k in range(n, B) if obj[k] < 0), -1)
         if enter < 0:
             break
-        # ratio test rhs_i / tab_i[enter], compared by cross-multiplying
+        mirrored = n <= enter < 2 * n
+        col = enter - n if enter >= n else enter
+        # ratio test rhs_i / a_i[enter], compared by cross-multiplying
         leave = -1
-        for i in range(m):
-            c = tab[i][enter]
+        for i, r in enumerate(tab):
+            c = -r[col] if mirrored else r[col]
             if c > 0:
                 if leave < 0:
-                    leave = i
+                    leave, c_leave = i, c
                     continue
-                lhs = tab[i][-1] * tab[leave][enter]
-                rhs = tab[leave][-1] * c
+                lhs = r[B] * c_leave
+                rhs = tab[leave][B] * c
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    leave = i
+                    leave, c_leave = i, c
         if leave < 0:
             # phase-1 objective is bounded below by 0, so this cannot happen
             raise ArithmeticError("unbounded phase-1 problem")
         prow = tab[leave]
-        piv = prow[enter]
-        for i in range(m):
-            if i != leave:
-                f = tab[i][enter]
-                tab[i] = [(c * piv - f * d) // D for c, d in zip(tab[i], prow)]
-        f = obj[enter]
-        obj = [(c * piv - f * d) // D for c, d in zip(obj, prow)]
-        D = piv
+        if mirrored:
+            prow = [-c for c in prow]
+        p = prow[col]
+        pivot_nz = [(k, d) for k, d in enumerate(prow) if d]
+        for i, r in enumerate(tab):
+            if i != leave and r[col]:
+                tab[i] = _eliminate(r, r[col], p, pivot_nz)
+        if obj[col]:
+            obj = _eliminate(obj, obj[col], p, pivot_nz)
         basis[leave] = enter
 
-    if obj[-1] == 0:
+    if obj[B] == 0:
+        # a basic u_j or v_j row reads rhs / (its entry in column u_j) for x_j
         x = [ZERO] * n
-        for i, bv in enumerate(basis):
-            val = Fraction(tab[i][-1], D)
-            if bv < n:
-                x[bv] += val
-            elif bv < 2 * n:
-                x[bv - n] -= val
+        for r, bv in zip(tab, basis):
+            if bv < 2 * n:
+                j = bv - n if bv >= n else bv
+                x[j] += Fraction(r[B], r[j])
         return Feasibility(True, tuple(x))
-    # Farkas: pi_i = 1 - reduced cost of artificial i; y_i = sigma_i * pi_i.
-    # The reduced costs of the artificials do not depend on K.
-    y = tuple(sigma[i] * Fraction(D - obj[art0 + i], D) for i in range(m))
+    # Farkas: pi_i = 1 - reduced cost of artificial i; y_i = sigma_i * pi_i
+    S = obj[-1]
+    y = tuple(sigma[i] * Fraction(S - obj[art0 + i], S) for i in range(m))
     return Feasibility(False, farkas=y)
 
 

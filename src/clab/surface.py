@@ -205,6 +205,11 @@ def sort_rays_by_angle(rays):
 def minimal_resolution(N2: Lattice) -> Resolution:
     """Hirzebruch-Jung: the rays are all lattice points on the boundary of
     conv((N2 \\ 0) cap quadrant), walked from e_2' down to e_1'."""
+    return make_resolution(N2, _minimal_rays(N2))
+
+
+def _minimal_rays(N2: Lattice):
+    """The rays of `minimal_resolution`, not validated."""
     e1p = primitive_in_lattice(N2, E1)
     e2p = primitive_in_lattice(N2, E2)
     N = N2.denominator_bound()
@@ -232,19 +237,23 @@ def minimal_resolution(N2: Lattice) -> Resolution:
                 break
         chain.append(p)
     chain = chain[: chain.index((X, 0)) + 1]
-    rays = [vec(Fraction(p, N), Fraction(q, N)) for p, q in reversed(chain)]
-    return make_resolution(N2, rays)
+    return tuple(vec(Fraction(p, N), Fraction(q, N)) for p, q in reversed(chain))
 
 
 def maximal_resolution(N2: Lattice) -> Resolution:
     """All primitive points of N2 in the closed triangle
     Delta' = {a, b >= 0, a + b <= 1}, ordered by angle."""
+    return make_resolution(N2, _maximal_rays(N2))
+
+
+def _maximal_rays(N2: Lattice):
+    """The rays of `maximal_resolution`, not validated."""
     pts = lattice_points_in_triangle(N2, (0, 0), (1, 0), (0, 1))
     rays = [
         p for p in pts
         if p != (0, 0) and p == primitive_in_lattice(N2, p)
     ]
-    return make_resolution(N2, sort_rays_by_angle(rays))
+    return sort_rays_by_angle(rays)
 
 
 MAX_OPTIONAL_RAYS = 20  # subset enumeration guard, desk scale
@@ -264,33 +273,43 @@ def _blowups(u, v):
     return out
 
 
-def enumerate_admissible_resolutions(N2: Lattice):
-    """All resolutions Y with rays(minimal) <= rays(Y) <= rays(maximal) whose
-    consecutive ray pairs are unimodular; includes the minimal and maximal.
+def admissible_ray_sequences(N2: Lattice):
+    """The ray sequences of the admissible resolutions, in the order of
+    `enumerate_admissible_resolutions`.  None of them is validated here; a
+    caller passes those it uses to `make_resolution`.
 
     They are built, not searched for: one refinement per pair of
     consecutive minimal rays, each from the blow-up tree of that pair."""
-    rmin = minimal_resolution(N2)
-    rmax = maximal_resolution(N2)
-    base = set(rmin.rays)
-    optional = [r for r in rmax.rays if r not in base]
+    rmin = _minimal_rays(N2)
+    rmax = _maximal_rays(N2)
+    base = set(rmin)
+    optional = [r for r in rmax if r not in base]
     if len(optional) > MAX_OPTIONAL_RAYS:
         raise ValueError(
             f"too many optional rays ({len(optional)}) for subset enumeration"
         )
-    gaps = [_blowups(u, v) for u, v in itertools.pairwise(rmin.rays)]
+    gaps = [_blowups(u, v) for u, v in itertools.pairwise(rmin)]
     out = []
     for fills in itertools.product(*gaps):
-        rays = [rmin.rays[0]]
-        for fill, r in zip(fills, rmin.rays[1:]):
+        rays = [rmin[0]]
+        for fill, r in zip(fills, rmin[1:]):
             rays += fill
             rays.append(r)
-        out.append(make_resolution(N2, rays))
-    out.sort(key=lambda r: (len(r.rays), r.rays))
+        out.append(tuple(rays))
+    out.sort(key=lambda rays: (len(rays), rays))
     if rmin not in out or rmax not in out:
         raise ValueError("the admissible resolutions do not run from the "
                          "minimal to the maximal resolution")
     return tuple(out)
+
+
+def enumerate_admissible_resolutions(N2: Lattice):
+    """All resolutions Y with rays(minimal) <= rays(Y) <= rays(maximal) whose
+    consecutive ray pairs are unimodular; includes the minimal and maximal.
+    Sorted by (number of rays, rays), so an index into the tuple names one
+    resolution."""
+    return tuple(make_resolution(N2, rays)
+                 for rays in admissible_ray_sequences(N2))
 
 
 def is_dominated_by_max(Y: Resolution) -> bool:

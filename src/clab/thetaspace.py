@@ -180,6 +180,8 @@ def verify_main_theorem(A: AbelianAction, samples: int, budget: int,
     """(i) only-if audit: every sampled generic fan uses only rays of the
     maximal resolution; (ii) if audit: every admissible resolution is
     realized by some sampled generic theta within the budget."""
+    if samples < 0:
+        raise ValueError("samples must be at least 0")
     Q = build_mckay_quiver(A)
     N2 = build_N2(A)
     max_rays = set(maximal_resolution(N2).rays)

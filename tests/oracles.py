@@ -10,7 +10,8 @@ simplex.  The lattice residues, the admissible resolutions and the
 stability masks are recomputed by the exhaustive searches the library
 replaced with direct constructions.  The simplex itself, the resolution
 check and the triangle scans are checked against the Fraction versions the
-library replaced with integer ones.
+library replaced with integer ones.  The segment walk is kept with its own
+test after the containing-triangulation base case stopped using it.
 """
 
 import itertools
@@ -24,6 +25,8 @@ from clab.lattice import (
     is_member,
     pair_determinant,
     primitive_in_lattice,
+    vadd,
+    vscale,
     vsub,
 )
 from clab.linprog import Feasibility, solve_feasibility
@@ -572,3 +575,24 @@ def _points_triangle_planar_3d(L, a, b, c):
             if s >= 0 and t >= 0 and s + t <= 1:
                 out.append(pt)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the segment walk the containing-triangulation base case replaced
+
+
+def lattice_points_on_segment(L, a, b):
+    """Points of L on the closed segment [a, b]; endpoints must lie in L."""
+    a = tuple(F(x) for x in a)
+    b = tuple(F(x) for x in b)
+    if a == b:
+        return (a,)
+    if not (is_member(L, a) and is_member(L, b)):
+        raise ValueError("segment endpoints must be lattice points")
+    d = vsub(b, a)
+    step = primitive_in_lattice(L, d)
+    i = next(i for i in range(len(d)) if d[i] != 0)
+    count = d[i] / step[i]
+    if count.denominator != 1 or count <= 0:
+        raise ArithmeticError("the primitive step does not divide the segment")
+    return tuple(vadd(a, vscale(j, step)) for j in range(count.numerator + 1))

@@ -6,7 +6,10 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import clab
-from clab.cli import main
+from clab.cli import RunConfig, _select_resolution, main
+from clab.surface import build_action, build_N2, enumerate_admissible_resolutions
+
+from .test_surface import TRIANGULATE_GROUPS
 
 
 def run_cli(capsys, *argv):
@@ -67,6 +70,7 @@ def test_triangulate_min_max_skip_admissible_list(capsys, monkeypatch):
         raise AssertionError("admissible list built for a min/max selector")
 
     monkeypatch.setattr("clab.cli.enumerate_admissible_resolutions", refuse)
+    monkeypatch.setattr("clab.cli.admissible_ray_sequences", refuse)
     for sel in ("min", "max"):
         code, out, err = run_cli(capsys, "--n", "8", "--gens", "1,3",
                                  "triangulate", "--resolution", sel,
@@ -87,6 +91,19 @@ def test_triangulate_index_selector(capsys):
                                "triangulate", "--resolution", bad)
         assert code == 2
         assert "bad resolution selector" in err
+
+
+def test_index_selector_picks_from_admissible_list():
+    # the selector validates only the sequence it picks; that is the
+    # resolution at the same index of the validated list
+    for n, gens in TRIANGULATE_GROUPS:
+        N2 = build_N2(build_action(n, gens))
+        admissible = enumerate_admissible_resolutions(N2)
+        for i in range(-len(admissible), len(admissible)):
+            cfg = RunConfig("triangulate", n=n, gens=tuple(gens), resolution=str(i))
+            Y = _select_resolution(cfg, N2)
+            assert Y == admissible[i]
+            assert Y.discrepancies == admissible[i].discrepancies
 
 
 def test_triangulate_one_third(capsys):
@@ -157,6 +174,14 @@ def test_verify_exit_codes(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["verdict"] == "pass"
+
+
+def test_verify_rejects_negative_samples(capsys):
+    code, out, err = run_cli(capsys, "--n", "3", "--gens", "1,1", "verify",
+                             "--samples", "-1", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "samples must be at least 0" in err
 
 
 def test_usage_error_exit_code(capsys):

@@ -221,8 +221,7 @@ def test_regularity_refusal_on_spiral():
     assert isinstance(ref, RegularityRefusal)
     assert len(ref.edges) >= 1
     # re-check the Farkas combination mechanically
-    from clab.junior import _wall_rows
-    rows = [(r, F(1)) for _, r in _wall_rows(T)]
+    rows = [(r, F(1)) for _, r in T.wall_rows]
     assert check_farkas(len(T.points), [], rows, ref.farkas)
 
 

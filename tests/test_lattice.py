@@ -9,13 +9,12 @@ from clab.lattice import (
     is_member,
     lattice_from_generators,
     lattice_points_in_triangle,
-    lattice_points_on_segment,
     pair_determinant,
     primitive_in_lattice,
     vec,
 )
 
-from .oracles import points_in_triangle_by_fractions
+from .oracles import lattice_points_on_segment, points_in_triangle_by_fractions
 
 
 def N2_of(n, a, b):

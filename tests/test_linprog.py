@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -100,6 +101,62 @@ def test_integer_tableau_matches_fraction_simplex(seed):
     eqs = [([q() for _ in range(n)], q()) for _ in range(rng.randint(0, 3))]
     ges = [([q() for _ in range(n)], q()) for _ in range(rng.randint(1, 7))]
     assert _same(solve_feasibility(n, eqs, ges), fraction_simplex(n, eqs, ges))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_sparse_degenerate_systems_match_fraction_simplex(seed):
+    # larger systems, about half the coefficients 0 and some right-hand
+    # sides 0: many rows are skipped on each pivot, and the degenerate
+    # pivots make Bland's rule break ties over long runs
+    rng = random.Random(seed)
+    n = rng.randint(1, 8)
+
+    def q():
+        if rng.random() < 0.5:
+            return F(0)
+        return F(rng.randint(-5, 5), rng.choice([1, 1, 1, 2, 3, 4]))
+
+    def rhs():
+        return F(0) if rng.random() < 0.4 else q()
+
+    nrows = rng.randint(1, 12)
+    neq = rng.randint(0, min(3, nrows - 1))
+    eqs = [([q() for _ in range(n)], rhs()) for _ in range(neq)]
+    ges = [([q() for _ in range(n)], rhs()) for _ in range(nrows - neq)]
+    assert _same(solve_feasibility(n, eqs, ges), fraction_simplex(n, eqs, ges))
+
+
+# every solution has a negative coordinate, so some x_j = u_j - v_j needs
+# v_j in the basis: the unstored mirrored columns must enter
+MIRRORED_FEASIBLE = [
+    # x0 + x1 = -3, x0 - x1 = 1: only (-1, -2)
+    (2, [([1, 1], -3), ([1, -1], 1)], []),
+    # x0 <= -2, x0 + x1 <= -5, x2 >= x0 / 2
+    (3, [], [([-1, 0, 0], 2), ([-1, -1, 0], 5), ([F(-1, 2), 0, 1], 0)]),
+    # 2 x0 + x1 = -7 with x1 >= 1 and x0 >= -9
+    (2, [([2, 1], -7)], [([0, 1], 1), ([1, 0], -9)]),
+]
+MIRRORED_INFEASIBLE = [
+    # x0 <= -1 and x0 + x1 >= 0 force x1 >= 1, against x1 <= 0
+    (2, [], [([-1, 0], 1), ([1, 1], 0), ([0, -1], 0)]),
+    # x0 = -4 - 2 x1 <= -4 with x1 >= 0, against x0 >= -3
+    (2, [([1, 2], -4)], [([0, 1], 0), ([1, 0], -3)]),
+]
+
+
+@pytest.mark.parametrize("n, eqs, ges", MIRRORED_FEASIBLE)
+def test_mirrored_columns_feasible(n, eqs, ges):
+    r = solve_feasibility(n, eqs, ges)
+    assert r.feasible and min(r.point) < 0
+    assert _same(r, fraction_simplex(n, eqs, ges))
+
+
+@pytest.mark.parametrize("n, eqs, ges", MIRRORED_INFEASIBLE)
+def test_mirrored_columns_infeasible(n, eqs, ges):
+    r = solve_feasibility(n, eqs, ges)
+    assert not r.feasible and check_farkas(n, eqs, ges, r.farkas)
+    assert _same(r, fraction_simplex(n, eqs, ges))
 
 
 # Fourier-Motzkin projection, the test oracle for the moduli-fan cones
