@@ -48,6 +48,11 @@ from .thetaspace import sample_generic, verify_main_theorem
 
 COMMANDS = ("group", "minres", "maxres", "resolutions", "triangulate",
             "moduli", "verify")
+FORMATS = ("text", "json", "svg", "dot")
+
+
+class UsageError(Exception):
+    pass
 
 
 @dataclass
@@ -71,15 +76,21 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, obj):
+        """The config persisted as obj; UsageError if obj is not one."""
+        if not isinstance(obj, dict):
+            raise UsageError("a config must be a JSON object")
         obj = dict(obj)
-        obj["gens"] = tuple(tuple(g) for g in obj.get("gens", []))
-        th = obj.get("theta")
-        obj["theta"] = None if th is None else tuple(Fraction(t) for t in th)
-        return cls(**obj)
-
-
-class UsageError(Exception):
-    pass
+        try:
+            obj["gens"] = tuple(tuple(g) for g in obj.get("gens", []))
+            th = obj.get("theta")
+            obj["theta"] = None if th is None else tuple(Fraction(t) for t in th)
+            cfg = cls(**obj)
+        except TypeError as e:
+            raise UsageError(f"bad config: {e}") from None
+        if cfg.format not in FORMATS:
+            raise UsageError(f"bad config: format {cfg.format!r} is not one "
+                             f"of {', '.join(FORMATS)}")
+        return cfg
 
 
 def _parse_gens(text):
@@ -107,8 +118,7 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--budget", type=int, default=10000)
-    p.add_argument("--format", choices=("text", "json", "svg", "dot"),
-                   default="text")
+    p.add_argument("--format", choices=FORMATS, default="text")
     p.add_argument("--out", default=None, help="write the report to this path")
     p.add_argument("--resolution", default="max",
                    help="resolution selector for triangulate: min, max or an "
@@ -145,10 +155,6 @@ def _group_facts(A):
         "boundary": {"m1": B.m1, "m2": B.m2,
                      "coefficients": [rat_str(c1), rat_str(c2)]},
     }
-
-
-def _resolution_payload(Y):
-    return Y.to_json()
 
 
 def _fmt_resolution(Y):
@@ -192,7 +198,7 @@ def run(cfg: RunConfig):
     if cfg.command in ("minres", "maxres"):
         Y = minimal_resolution(N2) if cfg.command == "minres" else maximal_resolution(N2)
         payload = _group_facts(A)
-        payload["resolution"] = _resolution_payload(Y)
+        payload["resolution"] = Y.to_json()
         payload["text"] = _fmt_resolution(Y)
         return 0, _emit(cfg, payload,
                         drawing=draw.svg_resolution(Y) if cfg.format == "svg"
@@ -202,7 +208,7 @@ def run(cfg: RunConfig):
         res = enumerate_admissible_resolutions(N2)
         payload = _group_facts(A)
         payload["count"] = len(res)
-        payload["resolutions"] = [_resolution_payload(Y) for Y in res]
+        payload["resolutions"] = [Y.to_json() for Y in res]
         payload["text"] = "\n".join(
             [f"{len(res)} admissible resolutions"]
             + [f"[{i}] {len(Y.exceptional_rays)} exceptional rays"
@@ -221,7 +227,7 @@ def run(cfg: RunConfig):
         regular = isinstance(cert, PLSupportFunction)
         payload = {
             "action": A.to_json(),
-            "resolution": _resolution_payload(Y),
+            "resolution": Y.to_json(),
             "triangulation": T.to_json(),
             "triangles": len(T.triangles),
             "basic": is_basic(T),
@@ -259,7 +265,7 @@ def run(cfg: RunConfig):
         payload = {
             "action": A.to_json(),
             "theta": theta.to_json(),
-            "fan": _resolution_payload(fan),
+            "fan": fan.to_json(),
             "fixed_points": [c.to_json() for c in fixed],
             "fixed_point_count": len(fixed),
             "delta_prime_containment": contained,
@@ -297,8 +303,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                cfg = RunConfig.from_json(json.load(fh))
+            try:
+                with open(args.config, "r", encoding="utf-8") as fh:
+                    obj = json.load(fh)
+            except OSError as e:
+                raise UsageError(f"cannot read config: {e}") from None
+            cfg = RunConfig.from_json(obj)
         else:
             if args.command is None:
                 raise UsageError("a command is required")
@@ -325,8 +335,12 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(output)
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(output)
+        except OSError as e:
+            print(f"error: cannot write output: {e}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(output)
     return code

@@ -66,12 +66,12 @@ def build_junior(A: AbelianAction) -> JuniorSimplex:
     n = A.n
     gens = [
         (Fraction(a, n), Fraction(b, n), Fraction(-a - b, n))
-        for a, b in A.elements
+        for a, b in A.gens
     ]
     N3 = lattice_from_generators(3, gens)
-    if N3.index != Fraction(1, A.order):
+    if N3.N != A.order:
         raise TriangulationError(
-            f"N3 has index {1 / N3.index}, not the order {A.order}")
+            f"N3 has index {N3.N}, not the order {A.order}")
     pts = lattice_points_in_triangle(N3, E1, E2, E3)
     if any(sum(p) != 1 or min(p) < 0 for p in pts):
         raise TriangulationError("a junior point lies off the simplex")

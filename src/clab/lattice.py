@@ -1,15 +1,17 @@
-"""Exact rational lattice arithmetic.
+"""Exact rational lattices Z^d <= L < Q^d, for d = 2 or 3.
 
-All lattices here contain Z^d (d = 2 or 3) and are stored by a canonical
-basis in column Hermite normal form, so two equal lattices are syntactically
-equal.  Every predicate is decided in exact rational arithmetic; no floats.
+Every lattice here contains Z^d with finite index N = [L : Z^d], so N * L
+lies in Z^d, and L is the set of points v with N * v integral and N * v
+mod N in a residue set: the group L / Z^d, scaled by N.  A lattice is
+stored as (dim, N, residues).  That triple is canonical, so two equal
+lattices are syntactically equal, and membership is one residue lookup.
+Every predicate is decided in exact arithmetic; no floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import ceil, floor, gcd, lcm
 
 
@@ -26,11 +28,6 @@ def vadd(u, v):
 
 def vsub(u, v):
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(k, v):
-    k = Fraction(k)
-    return tuple(k * a for a in v)
 
 
 def dot(u, v):
@@ -58,139 +55,76 @@ def rat_str(q) -> str:
     return str(Fraction(q))
 
 
-def parse_rat(s) -> Fraction:
-    return Fraction(s)
-
-
 # ---------------------------------------------------------------------------
-# Hermite normal form
+# lattices by their residue groups
 
-def _column_hnf(cols, dim):
-    """Canonical column-style HNF of an integer matrix of full row rank.
-
-    Returns dim columns forming an upper-triangular matrix with positive
-    diagonal and each entry right of a pivot reduced into [0, pivot).
-    """
-    work = [list(c) for c in cols if any(c)]
-    pivots = []
-    for row in range(dim - 1, -1, -1):
-        while True:
-            nz = [c for c in work if c[row] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda c: abs(c[row]))
-            a = nz[0]
-            for b in nz[1:]:
-                q = b[row] // a[row]
-                if q:
-                    for i in range(dim):
-                        b[i] -= q * a[i]
-        nz = [c for c in work if c[row] != 0]
-        if not nz:
-            raise ValueError("generators do not span the ambient space")
-        p = nz[0]
-        work.remove(p)
-        if p[row] < 0:
-            p[:] = [-x for x in p]
-        pivots.append(p)
-    pivots.reverse()  # column j now has its pivot in row j and zeros below
-    for j in range(dim):
-        col = pivots[j]
-        for i in range(j - 1, -1, -1):
-            q = col[i] // pivots[i][i]
-            if q:
-                for r in range(dim):
-                    col[r] -= q * pivots[i][r]
-    return pivots
+def _closure(dim, gens, modulus) -> set:
+    """The subgroup of (Z/modulus)^dim generated by the integer vectors
+    gens, as a set of tuples reduced into [0, modulus)."""
+    zero = (0,) * dim
+    out = {zero}
+    frontier = [zero]
+    while frontier:
+        r = frontier.pop()
+        for g in gens:
+            nxt = tuple((a + b) % modulus for a, b in zip(r, g))
+            if nxt not in out:
+                out.add(nxt)
+                frontier.append(nxt)
+    return out
 
 
 @dataclass(frozen=True)
 class Lattice:
-    """A lattice Z^dim <= L < Q^dim, stored by canonical HNF basis columns."""
+    """A lattice Z^dim <= L < Q^dim: N = [L : Z^dim] and the residues of
+    N * L modulo N, a subgroup of (Z/N)^dim of order N."""
 
     dim: int
-    basis: tuple  # tuple of columns, each a tuple of Fractions
+    N: int
+    residues: frozenset  # tuples in [0, N)^dim
 
     @property
     def index(self) -> Fraction:
-        """|det(basis)|; equals 1/[L : Z^dim]."""
-        d = Fraction(1)
-        for j in range(self.dim):
-            d *= self.basis[j][j]
-        return d
+        """The covolume of L; equals 1/[L : Z^dim]."""
+        return Fraction(1, self.N)
 
     def denominator_bound(self) -> int:
         """N such that L is contained in (1/N) Z^dim; N = [L : Z^dim]."""
-        inv = 1 / self.index
-        if inv.denominator != 1:
-            raise ValueError("the lattice does not contain Z^dim")
-        return inv.numerator
+        return self.N
 
 
 def lattice_from_generators(dim, gens) -> Lattice:
-    """The lattice Z^dim + sum_i Z*g_i, with canonical HNF basis."""
+    """The lattice Z^dim + sum_i Z*g_i.
+
+    With E the least common denominator of the generators (the exponent
+    of L / Z^dim), L / Z^dim is the subgroup of (Z/E)^dim that the E * g_i
+    generate; its order is N, and scaling by N / E gives the residues."""
     if dim not in (2, 3):
         raise ValueError("only dimensions 2 and 3 are supported")
     gens = [tuple(Fraction(x) for x in g) for g in gens]
     for g in gens:
         if len(g) != dim:
             raise ValueError("generator has wrong dimension")
-    den = 1
-    for g in gens:
-        for x in g:
-            den = den * x.denominator // gcd(den, x.denominator)
-    cols = []
-    for i in range(dim):
-        e = [0] * dim
-        e[i] = den
-        cols.append(e)
-    for g in gens:
-        cols.append([int(x * den) for x in g])
-    H = _column_hnf(cols, dim)
-    basis = tuple(
-        tuple(Fraction(H[j][i], den) for i in range(dim)) for j in range(dim)
-    )
-    lat = Lattice(dim, basis)
-    if (1 / lat.index).denominator != 1:  # Z^dim <= L forces integer index
-        raise ValueError("the generated lattice does not contain Z^dim")
-    return lat
-
-
-def _solve_basis(L: Lattice, v):
-    """Coordinates x with sum_j x_j * basis_j = v (basis upper triangular)."""
-    if len(v) != L.dim:
-        raise ValueError("dimension mismatch")
-    x = [Fraction(0)] * L.dim
-    for i in range(L.dim - 1, -1, -1):
-        s = v[i] - sum(L.basis[j][i] * x[j] for j in range(i + 1, L.dim))
-        x[i] = s / L.basis[i][i]
-    return tuple(x)
+    E = lcm(*(x.denominator for g in gens for x in g))
+    scaled = [tuple(x.numerator * (E // x.denominator) for x in g) for g in gens]
+    group = _closure(dim, scaled, E)
+    N = len(group)
+    s = N // E
+    return Lattice(dim, N, frozenset(tuple(s * c for c in r) for r in group))
 
 
 def is_member(L: Lattice, v) -> bool:
     """True iff v lies in L."""
-    v = tuple(Fraction(c) for c in v)
-    return all(c.denominator == 1 for c in _solve_basis(L, v))
-
-
-@lru_cache(maxsize=None)
-def _residues(L: Lattice) -> frozenset:
-    """Residue classes of L modulo Z^dim, scaled by N = [L : Z^dim].
-
-    L / Z^dim is generated by the basis columns, so the scaled residues are
-    the subgroup of (Z/N)^dim that the scaled columns generate."""
-    N = L.denominator_bound()
-    gens = [tuple(int(c * N) for c in col) for col in L.basis]
-    out = {(0,) * L.dim}
-    frontier = list(out)
-    while frontier:
-        r = frontier.pop()
-        for g in gens:
-            nxt = tuple((a + b) % N for a, b in zip(r, g))
-            if nxt not in out:
-                out.add(nxt)
-                frontier.append(nxt)
-    return frozenset(out)
+    if len(v) != L.dim:
+        raise ValueError("dimension mismatch")
+    N = L.N
+    r = []
+    for c in v:
+        c = Fraction(c)
+        if N % c.denominator:
+            return False
+        r.append(c.numerator * (N // c.denominator) % N)
+    return tuple(r) in L.residues
 
 
 def primitive_in_lattice(L: Lattice, v):
@@ -198,30 +132,28 @@ def primitive_in_lattice(L: Lattice, v):
     v = tuple(Fraction(c) for c in v)
     if all(c == 0 for c in v):
         raise ValueError("zero vector has no primitive multiple")
-    x = _solve_basis(L, v)
-    # {t > 0 : t*x integral} is generated by lcm_i(q_i/|p_i|) over x_i = p_i/q_i,
-    # where lcm of reduced fractions = lcm(numerators)/gcd(denominators)
-    num, den = 1, 0
-    for c in x:
-        if c == 0:
-            continue
-        ci = Fraction(c.denominator, abs(c.numerator))
-        num = num * ci.numerator // gcd(num, ci.numerator)
-        den = ci.denominator if den == 0 else gcd(den, ci.denominator)
-    t = Fraction(num, den)
-    w = vscale(t, v)
-    if not is_member(L, w):
-        raise ArithmeticError(f"the multiple {w} of {v} is not in the lattice")
-    return w
+    if len(v) != L.dim:
+        raise ValueError("dimension mismatch")
+    den = lcm(*(c.denominator for c in v))
+    V = [c.numerator * (den // c.denominator) for c in v]
+    g = gcd(*V)
+    V = [x // g for x in V]
+    # V is primitive in Z^dim, so the points of L on the ray are k * V / N
+    # for the k > 0 with k * V mod N a residue.  Those k mod N form a
+    # subgroup of Z/N, whose least positive element divides N; k = N is one.
+    N = L.N
+    k = next(k for k in range(1, N + 1)
+             if N % k == 0 and tuple(k * x % N for x in V) in L.residues)
+    return tuple(Fraction(k * x, N) for x in V)
 
 
 def pair_determinant(L: Lattice, u, v) -> Fraction:
-    """det[u v] / det(L basis); the pair is an L-basis iff this is +-1."""
+    """det[u v] / covolume(L); the pair is an L-basis iff this is +-1."""
     if L.dim != 2 or len(u) != 2 or len(v) != 2:
         raise ValueError("pair_determinant requires dimension 2")
     u = tuple(Fraction(c) for c in u)
     v = tuple(Fraction(c) for c in v)
-    return cross2(u, v) / L.index
+    return cross2(u, v) * L.N
 
 
 def lattice_points_in_triangle(L: Lattice, a, b, c):
@@ -265,9 +197,9 @@ def _scaled_box(a, b, c, i, N):
 
 
 def _points_triangle_2d(L, a, b, c):
-    N = L.denominator_bound()
+    N = L.N
     rows = _halfplanes(a, b, c, N)
-    residues = _residues(L)
+    residues = L.residues
     out = []
     for p in _scaled_box(a, b, c, 0, N):
         for q in _scaled_box(a, b, c, 1, N):
@@ -281,7 +213,7 @@ def _points_triangle_planar_3d(L, a, b, c):
     n = cross3(vsub(b, a), vsub(c, a))
     k = max(range(3), key=lambda i: abs(n[i]))  # axis solved from plane eqn
     i1, i2 = [i for i in range(3) if i != k]
-    N = L.denominator_bound()
+    N = L.N
     # containment is decided in the projection to the (i1, i2) plane, which
     # is degenerate iff n = 0
     rows = _halfplanes(*((p[i1], p[i2]) for p in (a, b, c)), N)
@@ -289,7 +221,7 @@ def _points_triangle_planar_3d(L, a, b, c):
     den = lcm(*(x.denominator for x in (*n, dot(n, a))))
     m = [int(x * den) for x in n]
     m0 = int(dot(n, a) * den) * N
-    residues = _residues(L)
+    residues = L.residues
     out = []
     for p in _scaled_box(a, b, c, i1, N):
         for q in _scaled_box(a, b, c, i2, N):

@@ -297,7 +297,7 @@ class Theta:
 
 
 def make_theta(values) -> Theta:
-    return Theta(tuple(Fraction(v) for v in values))
+    return Theta(tuple(values))
 
 
 def _subset_sums(theta: Theta):
@@ -330,11 +330,6 @@ def is_generic(theta: Theta) -> bool:
     return 0 not in _subset_sums(theta)[1:-1]
 
 
-def is_stable(c: FixedConstellation, theta: Theta, _table=None) -> bool:
-    table = _subset_sums(theta) if _table is None else _table
-    return all(table[mask] > 0 for mask in c.stability_masks)
-
-
 @lru_cache(maxsize=4096)
 def enumerate_fixed_stable(Q: McKayQuiver, theta: Theta):
     """All torus-fixed theta-stable supports."""
@@ -342,7 +337,8 @@ def enumerate_fixed_stable(Q: McKayQuiver, theta: Theta):
         raise ValueError("theta has the wrong number of characters")
     table = _subset_sums(theta)
     return tuple(
-        c for c in fixed_candidates(Q) if is_stable(c, theta, _table=table)
+        c for c in fixed_candidates(Q)
+        if all(table[mask] > 0 for mask in c.stability_masks)
     )
 
 

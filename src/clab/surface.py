@@ -13,7 +13,7 @@ from math import gcd
 
 from .lattice import (
     Lattice,
-    _residues,
+    _closure,
     cross2,
     lattice_from_generators,
     lattice_points_in_triangle,
@@ -61,20 +61,7 @@ def build_action(n, gens) -> AbelianAction:
     if n < 1:
         raise ValueError("n must be a positive integer")
     gens = tuple((int(a) % n, int(b) % n) for a, b in gens)
-    elems = {(0, 0)}
-    frontier = [(0, 0)]
-    while frontier:
-        ca, cb = frontier.pop()
-        for a, b in gens:
-            nxt = ((ca + a) % n, (cb + b) % n)
-            if nxt not in elems:
-                elems.add(nxt)
-                frontier.append(nxt)
-    return AbelianAction(n, gens, tuple(sorted(elems)))
-
-
-def action_from_json(obj) -> AbelianAction:
-    return build_action(int(obj["n"]), [tuple(g) for g in obj["gens"]])
+    return AbelianAction(n, gens, tuple(sorted(_closure(2, gens, n))))
 
 
 def is_small(A: AbelianAction) -> bool:
@@ -86,10 +73,10 @@ def is_small(A: AbelianAction) -> bool:
 
 def build_N2(A: AbelianAction) -> Lattice:
     L = lattice_from_generators(
-        2, [(Fraction(a, A.n), Fraction(b, A.n)) for a, b in A.elements]
+        2, [(Fraction(a, A.n), Fraction(b, A.n)) for a, b in A.gens]
     )
-    if L.index != Fraction(1, A.order):
-        raise ValueError(f"N2 has index {1 / L.index}, not the order {A.order}")
+    if L.N != A.order:
+        raise ValueError(f"N2 has index {L.N}, not the order {A.order}")
     return L
 
 
@@ -163,8 +150,8 @@ def make_resolution(lattice: Lattice, rays) -> Resolution:
         raise ValueError("v0 must lie on the positive x-axis")
     if not (rays[-1][0] == 0 and rays[-1][1] > 0):
         raise ValueError("v_s must lie on the positive y-axis")
-    N = lattice.denominator_bound()
-    residues = _residues(lattice)
+    N = lattice.N
+    residues = lattice.residues
     scaled = []
     for r in rays:
         if r[0] < 0 or r[1] < 0:
@@ -177,7 +164,7 @@ def make_resolution(lattice: Lattice, rays) -> Resolution:
             raise ValueError(f"ray {r} is not a lattice point")
         scaled.append(U)
     for (u, U), (v, V) in itertools.pairwise(zip(rays, scaled)):
-        det = cross2(U, V)  # N times det[u v] / det(L basis)
+        det = cross2(U, V)  # N times det[u v] / covolume(L)
         if det <= 0:
             raise ValueError("rays must be strictly ordered by angle")
         if det != N:
@@ -212,10 +199,10 @@ def _minimal_rays(N2: Lattice):
     """The rays of `minimal_resolution`, not validated."""
     e1p = primitive_in_lattice(N2, E1)
     e2p = primitive_in_lattice(N2, E2)
-    N = N2.denominator_bound()
+    N = N2.N
     X = int(e1p[0] * N)
     Y = int(e2p[1] * N)
-    residues = _residues(N2)
+    residues = N2.residues
     pts = [
         (p, q)
         for p in range(X + 1)

@@ -12,23 +12,19 @@ replaced with direct constructions.  The simplex itself, the resolution
 check and the triangle scans are checked against the Fraction versions the
 library replaced with integer ones.  The segment walk is kept with its own
 test after the containing-triangulation base case stopped using it.
+
+Every lattice oracle reads an `HNFLattice`: the canonical Hermite normal
+form basis, with a Fraction solve in it, that the library replaced with
+residue groups.  It is built from generators, never from a library
+lattice's residues.
 """
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction as F
 from math import ceil, floor, gcd
 
-from clab.lattice import (
-    cross2,
-    cross3,
-    dot,
-    is_member,
-    pair_determinant,
-    primitive_in_lattice,
-    vadd,
-    vscale,
-    vsub,
-)
+from clab.lattice import cross2, cross3, dot, vadd, vsub
 from clab.linprog import Feasibility, solve_feasibility
 from clab.quiver import ARROW_STEP
 from clab.surface import (
@@ -374,7 +370,7 @@ def fm_cone_of_support(c, N2):
             return None
     if lo[0] * hi[1] - lo[1] * hi[0] <= 0:
         return None
-    return (primitive_in_lattice(N2, lo), primitive_in_lattice(N2, hi))
+    return (N2.primitive(lo), N2.primitive(hi))
 
 
 def lp_limit_feasible(c, u):
@@ -403,8 +399,8 @@ def lp_limit_feasible(c, u):
 
 
 def residues_by_scan(L):
-    """Residue classes of L modulo Z^dim, scaled by N = [L : Z^dim], by a
-    membership test of every point of (Z/N)^dim."""
+    """Residue classes of the HNFLattice L modulo Z^dim, scaled by
+    N = [L : Z^dim], by a membership test of every point of (Z/N)^dim."""
     N = L.denominator_bound()
     out = set()
     for idx in range(N ** L.dim):
@@ -413,7 +409,7 @@ def residues_by_scan(L):
         for _ in range(L.dim):
             r.append(k % N)
             k //= N
-        if is_member(L, tuple(F(p, N) for p in r)):
+        if L.is_member(tuple(F(p, N) for p in r)):
             out.add(tuple(r))
     return frozenset(out)
 
@@ -480,7 +476,7 @@ def upclosed_masks(Q, arrows):
 
 def make_resolution_by_fractions(lattice, rays):
     """`make_resolution` as a Fraction membership test per ray and a
-    Fraction determinant per consecutive pair."""
+    Fraction determinant per consecutive pair, on an HNFLattice."""
     rays = tuple(tuple(F(x) for x in r) for r in rays)
     if len(rays) < 2:
         raise ValueError("a resolution needs at least the two boundary rays")
@@ -493,24 +489,24 @@ def make_resolution_by_fractions(lattice, rays):
             raise ValueError("rays must lie in the nonnegative quadrant")
         # with the unimodular pairs below this makes r primitive: a basis
         # vector is primitive
-        if not is_member(lattice, r):
+        if not lattice.is_member(r):
             raise ValueError(f"ray {r} is not a lattice point")
     for u, v in itertools.pairwise(rays):
         if cross2(u, v) <= 0:
             raise ValueError("rays must be strictly ordered by angle")
-        if pair_determinant(lattice, u, v) not in (1, -1):
+        if cross2(u, v) / lattice.index not in (1, -1):
             raise ValueError(f"consecutive rays {u}, {v} are not a lattice basis")
     disc = tuple(r[0] + r[1] - 1 for r in rays[1:-1])
     return Resolution(rays, lattice, disc)
 
 
 def _member_scaled(L, scaled, N):
-    return is_member(L, tuple(F(p, N) for p in scaled))
+    return L.is_member(tuple(F(p, N) for p in scaled))
 
 
 def points_in_triangle_by_fractions(L, a, b, c):
-    """`lattice_points_in_triangle` by a scan of the (1/N)-grid box with a
-    Fraction barycentric test per grid point."""
+    """`lattice_points_in_triangle` on an HNFLattice, by a scan of the
+    (1/N)-grid box with a Fraction barycentric test per grid point."""
     a, b, c = (tuple(F(x) for x in p) for p in (a, b, c))
     if L.dim == 2:
         return tuple(sorted(_points_triangle_2d(L, a, b, c)))
@@ -582,17 +578,142 @@ def _points_triangle_planar_3d(L, a, b, c):
 
 
 def lattice_points_on_segment(L, a, b):
-    """Points of L on the closed segment [a, b]; endpoints must lie in L."""
+    """Points of the HNFLattice L on the closed segment [a, b]; endpoints
+    must lie in L."""
     a = tuple(F(x) for x in a)
     b = tuple(F(x) for x in b)
     if a == b:
         return (a,)
-    if not (is_member(L, a) and is_member(L, b)):
+    if not (L.is_member(a) and L.is_member(b)):
         raise ValueError("segment endpoints must be lattice points")
     d = vsub(b, a)
-    step = primitive_in_lattice(L, d)
+    step = L.primitive(d)
     i = next(i for i in range(len(d)) if d[i] != 0)
     count = d[i] / step[i]
     if count.denominator != 1 or count <= 0:
         raise ArithmeticError("the primitive step does not divide the segment")
-    return tuple(vadd(a, vscale(j, step)) for j in range(count.numerator + 1))
+    return tuple(vadd(a, tuple(j * x for x in step))
+                 for j in range(count.numerator + 1))
+
+
+# ---------------------------------------------------------------------------
+# the Hermite normal form basis the residue groups replaced
+
+
+def _column_hnf(cols, dim):
+    """Canonical column-style HNF of an integer matrix of full row rank.
+
+    Returns dim columns forming an upper-triangular matrix with positive
+    diagonal and each entry right of a pivot reduced into [0, pivot).
+    """
+    work = [list(c) for c in cols if any(c)]
+    pivots = []
+    for row in range(dim - 1, -1, -1):
+        while True:
+            nz = [c for c in work if c[row] != 0]
+            if len(nz) <= 1:
+                break
+            nz.sort(key=lambda c: abs(c[row]))
+            a = nz[0]
+            for b in nz[1:]:
+                q = b[row] // a[row]
+                if q:
+                    for i in range(dim):
+                        b[i] -= q * a[i]
+        nz = [c for c in work if c[row] != 0]
+        if not nz:
+            raise ValueError("generators do not span the ambient space")
+        p = nz[0]
+        work.remove(p)
+        if p[row] < 0:
+            p[:] = [-x for x in p]
+        pivots.append(p)
+    pivots.reverse()  # column j now has its pivot in row j and zeros below
+    for j in range(dim):
+        col = pivots[j]
+        for i in range(j - 1, -1, -1):
+            q = col[i] // pivots[i][i]
+            if q:
+                for r in range(dim):
+                    col[r] -= q * pivots[i][r]
+    return pivots
+
+
+@dataclass(frozen=True)
+class HNFLattice:
+    """A lattice Z^dim <= L < Q^dim by its canonical HNF basis columns, with
+    membership and primitive points by a Fraction solve in that basis."""
+
+    dim: int
+    basis: tuple  # tuple of columns, each a tuple of Fractions
+
+    @property
+    def index(self):
+        """|det(basis)|; equals 1/[L : Z^dim]."""
+        d = ONE
+        for j in range(self.dim):
+            d *= self.basis[j][j]
+        return d
+
+    def denominator_bound(self):
+        inv = 1 / self.index
+        assert inv.denominator == 1
+        return inv.numerator
+
+    def solve(self, v):
+        """Coordinates x with sum_j x_j * basis_j = v (upper triangular)."""
+        if len(v) != self.dim:
+            raise ValueError("dimension mismatch")
+        x = [ZERO] * self.dim
+        for i in range(self.dim - 1, -1, -1):
+            s = v[i] - sum(self.basis[j][i] * x[j]
+                           for j in range(i + 1, self.dim))
+            x[i] = s / self.basis[i][i]
+        return tuple(x)
+
+    def is_member(self, v):
+        return all(c.denominator == 1 for c in self.solve(tuple(F(c) for c in v)))
+
+    def primitive(self, v):
+        """The primitive point of L on the ray R_{>=0} * v."""
+        v = tuple(F(c) for c in v)
+        if all(c == 0 for c in v):
+            raise ValueError("zero vector has no primitive multiple")
+        # {t > 0 : t*x integral} is generated by lcm_i(q_i/|p_i|) over
+        # x_i = p_i/q_i, where lcm of reduced fractions = lcm(numerators) /
+        # gcd(denominators)
+        num, den = 1, 0
+        for c in self.solve(v):
+            if c == 0:
+                continue
+            ci = F(c.denominator, abs(c.numerator))
+            num = num * ci.numerator // gcd(num, ci.numerator)
+            den = ci.denominator if den == 0 else gcd(den, ci.denominator)
+        w = tuple(F(num, den) * c for c in v)
+        assert self.is_member(w)
+        return w
+
+
+def hnf_lattice(dim, gens):
+    """The lattice Z^dim + sum_i Z*g_i by its canonical HNF basis."""
+    gens = [tuple(F(x) for x in g) for g in gens]
+    den = 1
+    for g in gens:
+        for x in g:
+            den = den * x.denominator // gcd(den, x.denominator)
+    cols = [[den * (i == j) for i in range(dim)] for j in range(dim)]
+    cols += [[int(x * den) for x in g] for g in gens]
+    H = _column_hnf(cols, dim)
+    return HNFLattice(dim, tuple(
+        tuple(F(H[j][i], den) for i in range(dim)) for j in range(dim)))
+
+
+def hnf_N2(A):
+    """N2 of the action A, generated by every group element."""
+    return hnf_lattice(2, [(F(a, A.n), F(b, A.n)) for a, b in A.elements])
+
+
+def hnf_N3(A):
+    """N3 of the action A, generated by every group element."""
+    return hnf_lattice(
+        3, [(F(a, A.n), F(b, A.n), F(-a - b, A.n)) for a, b in A.elements])

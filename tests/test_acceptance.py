@@ -179,7 +179,7 @@ def test_criterion_6_invariant_suites(capsys):
     rng = random.Random(20240809)
     cases = 0
 
-    # HNF canonicity: 300 cases
+    # canonical form under generator rewrites: 300 cases
     for _ in range(300):
         n = rng.randint(1, 12)
         gens = [(F(rng.randint(0, n - 1) if n > 1 else 0, n),

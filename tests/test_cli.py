@@ -230,6 +230,55 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["verdict"] == "pass"
 
 
+def test_missing_config_is_usage_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "--config", str(tmp_path / "none.json"))
+    assert code == 2
+    assert out == ""
+    assert "cannot read config" in err and "none.json" in err
+
+
+def _replay(tmp_path, capsys, obj):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(obj))
+    return run_cli(capsys, "--config", str(cfg_path))
+
+
+def test_config_without_command_is_usage_error(tmp_path, capsys):
+    code, out, err = _replay(tmp_path, capsys, {"n": 3, "gens": [[1, 1]]})
+    assert code == 2
+    assert out == ""
+    assert "bad config" in err and "command" in err
+    code, out, err = _replay(tmp_path, capsys, ["group", 3])
+    assert code == 2
+    assert "a config must be a JSON object" in err
+
+
+def test_config_unknown_key_is_usage_error(tmp_path, capsys):
+    code, out, err = _replay(tmp_path, capsys,
+                             {"command": "group", "n": 3, "colour": "red"})
+    assert code == 2
+    assert out == ""
+    assert "bad config" in err and "colour" in err
+
+
+def test_config_format_checked_against_choices(tmp_path, capsys):
+    code, out, err = _replay(tmp_path, capsys,
+                             {"command": "group", "n": 3, "format": "xml"})
+    assert code == 2
+    assert out == ""
+    assert "format 'xml'" in err
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, "--n", "3", "--gens", "1,1", "group",
+                             "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert "cannot write output" in err and "report.json" in err
+    assert not target.exists()
+
+
 def test_verify_same_under_python_O():
     # `python -O` strips asserts: every check must be an explicit raise, and
     # the report must not depend on one

@@ -14,7 +14,11 @@ from clab.lattice import (
     vec,
 )
 
-from .oracles import lattice_points_on_segment, points_in_triangle_by_fractions
+from .oracles import (
+    hnf_lattice,
+    lattice_points_on_segment,
+    points_in_triangle_by_fractions,
+)
 
 
 def N2_of(n, a, b):
@@ -23,14 +27,20 @@ def N2_of(n, a, b):
 
 def test_hnf_basis_one_third():
     L = N2_of(3, 1, 1)
-    assert L.basis == ((F(1), F(0)), (F(1, 3), F(1, 3)))
+    H = hnf_lattice(2, [(F(1, 3), F(1, 3))])
+    assert H.basis == ((F(1), F(0)), (F(1, 3), F(1, 3)))
+    assert lattice_from_generators(2, H.basis) == L
     assert L.index == F(1, 3)
+    assert L.residues == {(0, 0), (1, 1), (2, 2)}
 
 
 def test_empty_generators_give_integer_lattice():
     L = lattice_from_generators(2, [])
-    assert L.basis == ((F(1), F(0)), (F(0), F(1)))
+    H = hnf_lattice(2, [])
+    assert H.basis == ((F(1), F(0)), (F(0), F(1)))
+    assert lattice_from_generators(2, H.basis) == L
     assert L.index == 1
+    assert L.residues == {(0, 0)}
 
 
 def test_index_one_eighth():
@@ -114,7 +124,7 @@ def test_junior_plane_points_one_eighth():
 
 
 def test_segment_points():
-    L = N2_of(2, 1, 1)
+    L = hnf_lattice(2, [(F(1, 2), F(1, 2))])
     pts = lattice_points_on_segment(L, (1, 0), (0, 1))
     assert pts == (vec(1, 0), vec(F(1, 2), F(1, 2)), vec(0, 1))
 
@@ -185,9 +195,11 @@ def test_triangle_points_match_fraction_scan(w, seed):
     def rat(lo=-2 * n, hi=4 * n):
         return F(rng.randint(lo, hi), 2 * n)
 
-    L2 = N2_of(n, a, b)
-    L3 = lattice_from_generators(3, [(F(a, n), F(b, n), F(-a - b, n))])
-    for L in (L2, L3):
+    g2 = [(F(a, n), F(b, n))]
+    g3 = [(F(a, n), F(b, n), F(-a - b, n))]
+    for gens in (g2, g3):
+        L = lattice_from_generators(len(gens[0]), gens)
+        H = hnf_lattice(len(gens[0]), gens)
         tris = [((0, 0, 0)[:L.dim], (1, 0, 0)[:L.dim], (0, 1, 0)[:L.dim])]
         if L.dim == 3:
             tris.append(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
@@ -201,9 +213,69 @@ def test_triangle_points_match_fraction_scan(w, seed):
                                                for _ in range(3))))
         for tri in tris:
             try:
-                expected = points_in_triangle_by_fractions(L, *tri)
+                expected = points_in_triangle_by_fractions(H, *tri)
             except ValueError:
                 with pytest.raises(ValueError):
                     lattice_points_in_triangle(L, *tri)
                 continue
             assert lattice_points_in_triangle(L, *tri) == expected
+
+
+@st.composite
+def generator_sets(draw):
+    """A dimension and 0-4 generators with mixed denominators, some of them
+    redundant: a multiple or a sum of earlier ones, or an integer vector."""
+    dim = draw(st.sampled_from((2, 3)))
+    rat = st.builds(F, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6)))
+    gens = []
+    for kind in draw(st.lists(st.sampled_from("nnmsz"), max_size=4)):
+        if kind == "n" or not gens:
+            g = draw(st.tuples(*[rat] * dim))
+        elif kind == "m":
+            k = draw(st.integers(-3, 3))
+            g = tuple(k * x for x in draw(st.sampled_from(gens)))
+        elif kind == "s":
+            g = tuple(x + y for x, y in zip(gens[0], gens[-1]))
+        else:
+            g = tuple(draw(st.integers(-2, 2)) for _ in range(dim))
+        gens.append(g)
+    return dim, gens
+
+
+def _integer_combination(gens, dim, rng):
+    v = tuple(rng.randint(-2, 2) for _ in range(dim))
+    for g in gens:
+        k = rng.randint(-2, 2)
+        v = tuple(c + k * x for c, x in zip(v, g))
+    return v
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_sets(), st.randoms(use_true_random=False))
+def test_lattice_matches_hnf_oracle(case, rng):
+    # the residue description against the HNF basis built from the same
+    # generators: equality under rewrites, index, membership, primitive points
+    dim, gens = case
+    L = lattice_from_generators(dim, gens)
+    H = hnf_lattice(dim, gens)
+    assert L.index == H.index
+    assert L == lattice_from_generators(dim, H.basis)
+    rewritten = list(gens)
+    rng.shuffle(rewritten)
+    combo = _integer_combination(gens, dim, rng)
+    assert lattice_from_generators(dim, rewritten + [combo]) == L
+    if gens:
+        fewer = rewritten[1:]
+        assert ((lattice_from_generators(dim, fewer) == L)
+                == (hnf_lattice(dim, fewer) == H))
+    N = L.denominator_bound()
+    for _ in range(12):
+        if gens and rng.random() < 0.5:  # a lattice point, scaled off it
+            t = F(rng.randint(1, 6), rng.randint(1, 6))
+            v = tuple(t * c for c in _integer_combination(gens, dim, rng))
+        else:
+            v = tuple(F(rng.randint(-2 * N, 2 * N), rng.randint(1, 2 * N))
+                      for _ in range(dim))
+        assert is_member(L, v) == H.is_member(v), v
+        if any(v):
+            assert primitive_in_lattice(L, v) == H.primitive(v), v

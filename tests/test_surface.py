@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clab.junior import build_junior
-from clab.lattice import _residues, lattice_from_generators, pair_determinant, vec
+from clab.lattice import lattice_from_generators, pair_determinant, vec
 from clab.surface import (
     boundary_divisor,
     build_action,
@@ -24,6 +24,8 @@ from clab.surface import (
 from .oracles import (
     admissible_by_subsets,
     hj_minimal_rays,
+    hnf_N2,
+    hnf_N3,
     make_resolution_by_fractions,
     residues_by_scan,
 )
@@ -68,10 +70,11 @@ def test_small_iff_boundary_divisor_zero():
 
 
 def test_build_N2_congruence():
-    L = build_N2(cyclic(3, 1, 1))
-    assert L.basis == ((F(1), F(0)), (F(1, 3), F(1, 3)))
+    for A, basis in ((cyclic(3, 1, 1), ((F(1), F(0)), (F(1, 3), F(1, 3)))),
+                     (cyclic(2, 1, 0), ((F(1, 2), F(0)), (F(0), F(1))))):
+        assert hnf_N2(A).basis == basis
+        assert build_N2(A) == lattice_from_generators(2, basis)
     assert build_N2(build_action(1, [])).index == 1
-    assert build_N2(cyclic(2, 1, 0)).basis == ((F(1, 2), F(0)), (F(0), F(1)))
 
 
 def test_boundary_divisor_reflection():
@@ -208,8 +211,9 @@ TRIANGULATE_GROUPS = [
 def test_residues_by_closure_equal_scan():
     for group in COLD_GROUPS:
         A = build_action(*group)
-        for L in (build_N2(A), build_junior(A).lattice):
-            assert _residues(L) == residues_by_scan(L), (group, L.dim)
+        for L, H in ((build_N2(A), hnf_N2(A)),
+                     (build_junior(A).lattice, hnf_N3(A))):
+            assert L.residues == residues_by_scan(H), (group, L.dim)
 
 
 def test_admissible_by_blowups_equal_subset_enumeration():
@@ -256,9 +260,9 @@ def test_make_resolution_matches_fraction_check():
                 nudged = (rays[i][0] + F(1, 2 * N), rays[i][1])
                 cases.append((A, rays[:i] + [nudged] + rays[i + 1:]))
     for A, rays in cases:
-        N2 = build_N2(A)
-        assert (_check_or_message(make_resolution, N2, rays)
-                == _check_or_message(make_resolution_by_fractions, N2, rays)), rays
+        assert (_check_or_message(make_resolution, build_N2(A), rays)
+                == _check_or_message(make_resolution_by_fractions, hnf_N2(A),
+                                     rays)), rays
 
 
 @settings(max_examples=150, deadline=None)
@@ -268,7 +272,8 @@ def test_make_resolution_matches_fraction_check_random(n, a, b, seed):
     # rays drawn from the maximal resolution, from other lattice points and
     # from the (1/2n)-grid, kept in angle order or not
     rng = random.Random(seed)
-    N2 = build_N2(cyclic(n, a, b))
+    A = cyclic(n, a, b)
+    N2 = build_N2(A)
     rmax = list(maximal_resolution(N2).rays)
     pool = rmax[1:-1] * 3
     for _ in range(3):
@@ -287,7 +292,7 @@ def test_make_resolution_matches_fraction_check_random(n, a, b, seed):
         ends[e] = tuple(rng.choice([2, F(1, 2)]) * c for c in ends[e])
     rays = [ends[0], *inner, ends[1]]
     assert (_check_or_message(make_resolution, N2, rays)
-            == _check_or_message(make_resolution_by_fractions, N2, rays))
+            == _check_or_message(make_resolution_by_fractions, hnf_N2(A), rays))
 
 
 # ---------------------------------------------------------------------------
