@@ -39,9 +39,7 @@ from .junior import (
     is_basic,
     lift_to_junior,
     nef_cone,
-    project_p12,
     regularity_certificate,
-    star_subdivide,
 )
 from .quiver import (
     FixedConstellation,
@@ -75,7 +73,7 @@ __all__ = [
     "is_basic", "is_dominated_by_max", "is_generic", "is_member", "is_small",
     "lattice_from_generators", "lattice_points_in_triangle", "lift_to_junior",
     "make_theta", "maximal_resolution", "minimal_resolution", "moduli_fan",
-    "nef_cone", "pair_determinant", "primitive_in_lattice", "project_p12",
-    "ps_limit", "realize_resolution", "regularity_certificate",
-    "sample_generic", "star_subdivide", "verify_main_theorem", "walls",
+    "nef_cone", "pair_determinant", "primitive_in_lattice", "ps_limit",
+    "realize_resolution", "regularity_certificate", "sample_generic",
+    "verify_main_theorem", "walls",
 ]

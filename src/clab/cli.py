@@ -55,6 +55,25 @@ class UsageError(Exception):
     pass
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# the type each key of a persisted config must have, checked on replay
+_CONFIG_TYPES = {
+    "command": ("a string", lambda v: isinstance(v, str)),
+    "n": ("an integer", _is_int),
+    "gens": ("a list of integer pairs", lambda v: isinstance(v, list) and all(
+        isinstance(g, list) and len(g) == 2 and all(map(_is_int, g))
+        for g in v)),
+    "seed": ("an integer", _is_int),
+    "samples": ("an integer", _is_int),
+    "budget": ("an integer", _is_int),
+    "out": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "resolution": ("a string", lambda v: isinstance(v, str)),
+}
+
+
 @dataclass
 class RunConfig:
     command: str
@@ -79,6 +98,10 @@ class RunConfig:
         """The config persisted as obj; UsageError if obj is not one."""
         if not isinstance(obj, dict):
             raise UsageError("a config must be a JSON object")
+        for key, (kind, ok) in _CONFIG_TYPES.items():
+            if key in obj and not ok(obj[key]):
+                raise UsageError(f"bad config: {key} must be {kind}, "
+                                 f"not {obj[key]!r}")
         obj = dict(obj)
         try:
             obj["gens"] = tuple(tuple(g) for g in obj.get("gens", []))

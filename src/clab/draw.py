@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .junior import Triangulation, project_p12
+from .junior import Triangulation
 from .lattice import lattice_points_in_triangle
 from .surface import Resolution
 
@@ -79,12 +79,12 @@ def svg_triangulation(T: Triangulation) -> str:
     ]
     span = Fraction(11, 10)
     for t in T.triangles:
-        coords = [_px(*project_p12(T.points[i]), span) for i in t]
+        coords = [_px(T.points[i][0], T.points[i][1], span) for i in t]
         pts = " ".join(f"{x},{y}" for x, y in coords)
         out.append(f'<polygon points="{pts}" fill="#eef6ee" stroke="#2c3e50" '
                    'stroke-width="1"/>')
     for p in T.points:
-        x, y = _px(*project_p12(p), span)
+        x, y = _px(p[0], p[1], span)
         out.append(f'<circle cx="{x}" cy="{y}" r="3" fill="#c0392b"/>')
         out.append(f'<text x="{x + 5}" y="{y - 4}" font-size="10">'
                    f'({p[0]},{p[1]},{p[2]})</text>')
@@ -95,7 +95,7 @@ def svg_triangulation(T: Triangulation) -> str:
 def dot_triangulation(T: Triangulation) -> str:
     lines = ["graph triangulation {", "  node [shape=point];"]
     for i, p in enumerate(T.points):
-        x, y = _px(*project_p12(p))
+        x, y = _px(p[0], p[1])
         lines.append(f'  p{i} [pos="{x},{-y}", xlabel="({p[0]},{p[1]},{p[2]})"];')
     for i, j in T.edges():
         lines.append(f"  p{i} -- p{j};")

@@ -3,9 +3,15 @@ the recursive star-subdivision construction of a projective crepant 3-fold
 containing a chosen surface resolution, and the LP-backed regularity, nef-cone
 and ample-restriction computations.
 
-All triangulations live on the junior plane {x + y + z = 1}; planar geometry
-is done on the first two coordinates, which is an affine isomorphism onto the
-triangle Delta' = {a, b >= 0, a + b <= 1}.
+All triangulations live on the junior plane {x + y + z = 1}.  Every junior
+point lies on the (1/N)-grid, N = [N3 : Z^3] = |G|, so inside this module a
+point (x, y, z) is its N-scaled integer pair (X, Y) = (N x, N y), and z is
+implied by X + Y + Z = N.  Dropping z is an affine isomorphism of the plane,
+so every planar question (orientation, triangle membership, on-segment,
+areas, wall rows) has an exact integer answer on the pairs.  The lex order
+of the pairs is the lex order of the points.  Fractions are built only
+where a point leaves the module: `JuniorSimplex.points`,
+`Triangulation.points`, `to_json` and `lift_to_junior`.
 """
 
 from __future__ import annotations
@@ -17,9 +23,6 @@ from fractions import Fraction
 
 from .lattice import (
     Lattice,
-    _halfplanes,
-    cross2,
-    det3,
     is_member,
     lattice_from_generators,
     lattice_points_in_triangle,
@@ -49,6 +52,20 @@ class TriangulationError(RuntimeError):
     check (internal consistency)."""
 
 
+def _to_grid(p, N):
+    """The pair (N x, N y) of a junior-plane point (x, y, z) with rational
+    coordinates; ValueError if it is off the plane or off the (1/N)-grid."""
+    scaled = []
+    for c in p:
+        if N % c.denominator:
+            raise ValueError(f"{p} is off the (1/{N})-grid of the lattice")
+        scaled.append(c.numerator * (N // c.denominator))
+    X, Y, Z = scaled
+    if X + Y + Z != N:
+        raise ValueError(f"{p} is off the junior plane")
+    return X, Y
+
+
 @dataclass(frozen=True)
 class JuniorSimplex:
     """The triangle with vertices e1, e2, e3 in (N3)_R together with all its
@@ -60,6 +77,11 @@ class JuniorSimplex:
     @property
     def vertices(self):
         return (E1, E2, E3)
+
+    @functools.cached_property
+    def grid(self):
+        """The points as N-scaled integer pairs, in the same (lex) order."""
+        return tuple(_to_grid(p, self.lattice.N) for p in self.points)
 
 
 def build_junior(A: AbelianAction) -> JuniorSimplex:
@@ -80,11 +102,6 @@ def build_junior(A: AbelianAction) -> JuniorSimplex:
     return JuniorSimplex(N3, pts)
 
 
-def project_p12(w):
-    """Drop the third coordinate; maps the junior simplex onto Delta'."""
-    return (Fraction(w[0]), Fraction(w[1]))
-
-
 def lift_to_junior(J: JuniorSimplex, v):
     """The unique point of Delta cap N3 over v in Delta' cap N2."""
     a, b = Fraction(v[0]), Fraction(v[1])
@@ -97,59 +114,27 @@ def lift_to_junior(J: JuniorSimplex, v):
 
 
 # ---------------------------------------------------------------------------
-# planar predicates on the junior plane (via the first two coordinates)
+# planar predicates on grid pairs
 
 
-def _area2(a, b, c):
-    # twice the signed area of the projected triangle; also equals
-    # det3 of the three sum-one vertices
-    return cross2(vsub(project_p12(b), project_p12(a)),
-                  vsub(project_p12(c), project_p12(a)))
-
-
-def _on_segment(p, a, b):
-    pa, ba = vsub(project_p12(p), project_p12(a)), vsub(project_p12(b), project_p12(a))
-    if cross2(ba, pa) != 0:
-        return False
-    t = None
-    for i in range(2):
-        if ba[i] != 0:
-            t = pa[i] / ba[i]
-            break
-    if t is None:
-        return p == a
-    return 0 <= t <= 1
-
-
-def _barycentric(p, a, b, c):
-    ab = vsub(project_p12(b), project_p12(a))
-    ac = vsub(project_p12(c), project_p12(a))
-    ap = vsub(project_p12(p), project_p12(a))
-    area = cross2(ab, ac)
-    s = cross2(ap, ac) / area
-    t = cross2(ab, ap) / area
-    return (1 - s - t, s, t)  # coefficients at a, b, c
+def _cross(o, a, b):
+    """Twice the signed area of the triangle (o, a, b): positive if it turns
+    counter-clockwise, zero if it is flat."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def _in_triangle(p, a, b, c):
-    la, lb, lc = _barycentric(p, a, b, c)
-    return la >= 0 and lb >= 0 and lc >= 0
+    """p lies in the closed non-degenerate triangle abc, in either
+    orientation."""
+    if _cross(a, b, c) < 0:
+        b, c = c, b
+    return _cross(a, b, p) >= 0 and _cross(b, c, p) >= 0 and _cross(c, a, p) >= 0
 
 
-def star_subdivide(triangle, w):
-    """Star subdivision of a junior-plane triangle at an interior or edge
-    point: up to three triangles (w,B,C), (w,A,C), (w,A,B), degenerate ones
-    dropped."""
-    a, b, c = (tuple(Fraction(x) for x in p) for p in triangle)
-    w = tuple(Fraction(x) for x in w)
-    if _area2(a, b, c) == 0:
-        raise ValueError("degenerate triangle")
-    if w in (a, b, c):
-        raise ValueError("subdivision point must not be a vertex")
-    if not _in_triangle(w, a, b, c):
-        raise ValueError("subdivision point must lie in the triangle")
-    pieces = [(w, b, c), (w, a, c), (w, a, b)]
-    return [t for t in pieces if _area2(*t) != 0]
+def _on_segment(p, a, b):
+    """p lies on the closed segment ab (which may be the point a = b)."""
+    return (_cross(a, b, p) == 0
+            and (p[0] - a[0]) * (p[0] - b[0]) + (p[1] - a[1]) * (p[1] - b[1]) <= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -158,22 +143,22 @@ def star_subdivide(triangle, w):
 
 @dataclass(frozen=True)
 class Triangulation:
-    """Triangles on the junior plane, stored as sorted index triples into a
-    lex-sorted point tuple."""
+    """Triangles on the junior plane, stored as sorted index triples into
+    `grid`, the lex-sorted N-scaled integer pairs of their points."""
 
-    points: tuple
+    grid: tuple
     triangles: tuple
-    lattice: Lattice = field(compare=False, repr=False)
+    lattice: Lattice = field(repr=False)
 
-    def triangle_coords(self, t):
-        return tuple(self.points[i] for i in t)
+    @functools.cached_property
+    def points(self):
+        """The points (x, y, z), in the order of `grid`."""
+        N = self.lattice.N
+        return tuple((Fraction(X, N), Fraction(Y, N), Fraction(N - X - Y, N))
+                     for X, Y in self.grid)
 
     def edges(self):
-        out = set()
-        for t in self.triangles:
-            for i, j in itertools.combinations(t, 2):
-                out.add((i, j))
-        return sorted(out)
+        return sorted(self.edge_triangles())
 
     def edge_triangles(self):
         e2t = {}
@@ -183,7 +168,7 @@ class Triangulation:
         return e2t
 
     def neighbors_of(self, point):
-        idx = self.points.index(tuple(Fraction(x) for x in point))
+        idx = self.grid.index(_to_grid(vec(*point), self.lattice.N))
         out = set()
         for t in self.triangles:
             if idx in t:
@@ -192,13 +177,16 @@ class Triangulation:
 
     @functools.cached_property
     def wall_rows(self):
-        """One row per interior wall: row.h >= 0 is weak convexity across the
-        wall, > 0 strict.  The row says h(d) must exceed the affine extension
-        of h from the triangle (a, b, c) on the other side.  The regularity,
+        """One integer row per interior wall: row.h >= 0 is weak convexity
+        across the wall, > 0 strict.  The row says h(d) must exceed the
+        affine extension of h from the triangle (a, b, c) on the other side:
+        its entries are the barycentric coordinates of d in abc, scaled by
+        the area |cross(a, b, c)| (N on a basic triangulation), which leaves
+        every sign and every feasibility verdict as it is.  The regularity,
         nef-cone and amp-restriction computations all read these rows, so
         they are built once per triangulation."""
         rows = []
-        npts = len(self.points)
+        g = self.grid
         for edge, tris in sorted(self.edge_triangles().items()):
             if len(tris) != 2:
                 continue
@@ -206,15 +194,16 @@ class Triangulation:
             a_i, b_i = edge
             c_i = next(i for i in t1 if i not in edge)
             d_i = next(i for i in t2 if i not in edge)
-            la, lb, lc = _barycentric(self.points[d_i], self.points[a_i],
-                                      self.points[b_i], self.points[c_i])
-            if lc >= 0:
+            a, b, c, d = g[a_i], g[b_i], g[c_i], g[d_i]
+            area = _cross(a, b, c)
+            s = 1 if area > 0 else -1
+            if s * _cross(a, b, d) >= 0:
                 raise ValueError(f"the triangles on edge {edge} overlap")
-            row = [Fraction(0)] * npts
-            row[d_i] += 1
-            row[a_i] -= la
-            row[b_i] -= lb
-            row[c_i] -= lc
+            row = [0] * len(g)
+            row[d_i] = s * area
+            row[a_i] = -s * _cross(d, b, c)
+            row[b_i] = -s * _cross(a, d, c)
+            row[c_i] = -s * _cross(a, b, d)
             rows.append((edge, tuple(row)))
         return tuple(rows)
 
@@ -226,14 +215,23 @@ class Triangulation:
 
 
 def make_triangulation(lattice: Lattice, triangles) -> Triangulation:
-    tris = [tuple(tuple(Fraction(x) for x in p) for p in t) for t in triangles]
+    """The triangulation with the given triangles of junior-plane points;
+    ValueError if a point is off the plane or off the lattice's
+    (1/N)-grid."""
+    N = lattice.N
+    return _triangulation(lattice, [tuple(_to_grid(vec(*p), N) for p in t)
+                                    for t in triangles])
+
+
+def _triangulation(lattice, tris):
+    # tris: triangles of grid pairs
     pts = sorted({p for t in tris for p in t})
     index = {p: i for i, p in enumerate(pts)}
     tri_idx = sorted(tuple(sorted(index[p] for p in t)) for t in tris)
     if len(set(tri_idx)) != len(tri_idx):
         raise ValueError("duplicate triangles")
     for t in tris:
-        if _area2(*t) == 0:
+        if _cross(*t) == 0:
             raise ValueError(f"degenerate triangle {t}")
     T = Triangulation(tuple(pts), tuple(tri_idx), lattice)
     for e, ts in T.edge_triangles().items():
@@ -243,45 +241,18 @@ def make_triangulation(lattice: Lattice, triangles) -> Triangulation:
 
 
 def is_basic(T: Triangulation) -> bool:
-    """All triangles span unimodular cones of N3 and their areas fill Delta."""
-    unit = T.lattice.index
-    total = Fraction(0)
-    for t in T.triangles:
-        a, b, c = T.triangle_coords(t)
-        d = abs(det3(a, b, c))
-        if d != unit:
+    """All triangles span unimodular cones of N3 and their areas fill Delta:
+    on grid pairs a unimodular triangle has |cross| = N, and Delta has
+    N^2."""
+    N = T.lattice.N
+    g = T.grid
+    total = 0
+    for i, j, k in T.triangles:
+        d = abs(_cross(g[i], g[j], g[k]))
+        if d != N:
             return False
         total += d
-    return total == abs(det3(E1, E2, E3))
-
-
-def _interiors_disjoint(t1, t2):
-    # separating-axis test for convex polygons, exact
-    for tri_a, tri_b in ((t1, t2), (t2, t1)):
-        for i in range(3):
-            a = project_p12(tri_a[i])
-            b = project_p12(tri_a[(i + 1) % 3])
-            d = vsub(b, a)
-            sides_a = [cross2(d, vsub(project_p12(p), a)) for p in tri_a]
-            sides_b = [cross2(d, vsub(project_p12(p), a)) for p in tri_b]
-            if max(sides_a) <= 0 and min(sides_b) >= 0:
-                return True
-            if min(sides_a) >= 0 and max(sides_b) <= 0:
-                return True
-    return False
-
-
-def covers_simplex(T: Triangulation) -> bool:
-    """Area sum equals area of Delta and triangle interiors are pairwise
-    disjoint."""
-    total = sum(abs(det3(*T.triangle_coords(t))) for t in T.triangles)
-    if total != abs(det3(E1, E2, E3)):
-        return False
-    coords = [T.triangle_coords(t) for t in T.triangles]
-    for t1, t2 in itertools.combinations(coords, 2):
-        if not _interiors_disjoint(t1, t2):
-            return False
-    return True
+    return total == N * N
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +286,8 @@ def regularity_certificate(T: Triangulation):
     row.h >= 1."""
     rows = T.wall_rows
     if not rows:
-        return PLSupportFunction(T, tuple([Fraction(0)] * len(T.points)))
-    res = solve_feasibility(len(T.points), [], [(r, 1) for _, r in rows])
+        return PLSupportFunction(T, tuple([Fraction(0)] * len(T.grid)))
+    res = solve_feasibility(len(T.grid), [], [(r, 1) for _, r in rows])
     if res.feasible:
         for edge, r in rows:
             if sum(c * h for c, h in zip(r, res.point)) < 1:
@@ -338,12 +309,12 @@ class NefCone:
     rows: tuple  # (edge, coefficient row over points)
 
     def ambient_dim(self):
-        return len(self.triangulation.points) - 3
+        return len(self.triangulation.grid) - 3
 
     def dimension(self):
         """dim of {h : rows.h >= 0} modulo the 3-dim affine gauge."""
-        n = len(self.triangulation.points)
-        ge = [(list(r), Fraction(0)) for _, r in self.rows]
+        n = len(self.triangulation.grid)
+        ge = [(list(r), 0) for _, r in self.rows]
         eq_normals = []
         for edge, r in self.rows:
             probe = solve_feasibility(n, [], ge + [(list(r), 1)])
@@ -429,15 +400,13 @@ def amp_restriction_surjective(T: Triangulation, A: AbelianAction) -> bool:
             raise TriangulationError("the slice rays are not equally spaced")
     npts = len(T.points)
     nvars = npts + 2  # heights plus a linear gauge (alpha, beta) on the slice
-    wall_ges = []
-    for _, r in T.wall_rows:
-        wall_ges.append((list(r) + [Fraction(0), Fraction(0)], Fraction(0)))
+    wall_ges = [(list(r) + [0, 0], 0) for _, r in T.wall_rows]
     for k in range(1, m):
-        tent = [-Fraction(min(j * (m - k), k * (m - j))) for j in range(m + 1)]
+        tent = [-min(j * (m - k), k * (m - j)) for j in range(m + 1)]
         eqs = []
         for j, q in enumerate(edge_pts):
-            row = [Fraction(0)] * nvars
-            row[T.points.index(q)] = Fraction(1)
+            row = [0] * nvars
+            row[T.points.index(q)] = 1
             row[npts] = -W.rays[j][0]
             row[npts + 1] = -W.rays[j][1]
             eqs.append((row, tent[j]))
@@ -465,8 +434,10 @@ def build_containing_triangulation(J: JuniorSimplex, Y: Resolution) -> Triangula
             "resolution has a ray outside Delta'; no lift to the junior simplex"
         )
     lifts = tuple(lift_to_junior(J, v) for v in Y.rays)
-    tris = _recurse(J.points, E1, E2, E3, lifts)
-    T = make_triangulation(J.lattice, tris)
+    N = J.lattice.N
+    tris = _recurse(J.grid, *(_to_grid(e, N) for e in (E1, E2, E3)),
+                    [_to_grid(p, N) for p in lifts])
+    T = _triangulation(J.lattice, tris)
     if not is_basic(T):
         raise TriangulationError("the triangulation is not basic")
     if set(T.neighbors_of(E3)) != set(lifts):
@@ -474,32 +445,30 @@ def build_containing_triangulation(J: JuniorSimplex, Y: Resolution) -> Triangula
     return T
 
 
-def _apex_coordinate(p, P, Q, apex):
-    return _barycentric(p, P, Q, apex)[2]
-
-
 def _points_in_triangle(points, a, b, c):
-    """The points of `points` in the closed triangle abc, in their order,
-    tested against the triangle's three edge half-planes.
+    """The points of `points` in the closed triangle abc, in their order.
 
     Every triangle the construction visits has lattice-point vertices in
-    Delta, so with `points` the lex-sorted junior points these are its
+    Delta, so with `points` the lex-sorted junior grid pairs these are its
     lattice points, in lexicographic order."""
-    rows = _halfplanes(project_p12(a), project_p12(b), project_p12(c), 1)
-    return [p for p in points
-            if all(al * p[0] + be * p[1] + ga >= 0 for al, be, ga in rows)]
+    return [p for p in points if _in_triangle(p, a, b, c)]
 
 
 def _recurse(points, P, Q, apex, marked):
     # invariants: marked[0] lies on segment(P, apex) (possibly = P),
     # marked[-1] on segment(Q, apex) (possibly = Q), marked ordered by angle
-    # around apex from the P side; `points` are the junior points
+    # around apex from the P side; `points` are the junior grid pairs
     if len(marked) < 2:
         raise TriangulationError("a sub-triangle has fewer than two marked points")
     candidates = [m for m in marked[:-1] if m != P]
     if not candidates:
         return _base_triangulation(points, P, Q, apex, marked)
-    w = min(candidates, key=lambda m: (_apex_coordinate(m, P, Q, apex), m))
+    # the apex barycentric coordinate of m is cross(P, Q, m) / cross(P, Q,
+    # apex).  The denominator is common to all candidates and positive: e1,
+    # e2, e3 turn counter-clockwise, and a sub-triangle replaces P or Q by
+    # a marked point of the triangle off the line through apex and the
+    # other one, which keeps the turn
+    w = min(candidates, key=lambda m: (_cross(P, Q, m), m))
     k = marked.index(w)
     parts = []
     if _on_segment(w, P, apex):

@@ -46,10 +46,6 @@ def cross3(u, v):
     )
 
 
-def det3(u, v, w):
-    return dot(u, cross3(v, w))
-
-
 def rat_str(q) -> str:
     """Serialize a rational exactly, e.g. '3/8', '-1/2', '1'."""
     return str(Fraction(q))

@@ -50,7 +50,8 @@ def _eliminate(row, f, p, pivot_nz):
 
 def solve_feasibility(n, eqs, ges) -> Feasibility:
     """Decide whether some x in Q^n satisfies a.x = b for (a, b) in `eqs`
-    and a.x >= b for (a, b) in `ges` (x unrestricted in sign).
+    and a.x >= b for (a, b) in `ges` (x unrestricted in sign).  The
+    coefficients are ints or Fractions.
 
     On failure returns Farkas multipliers y, free on equality rows and >= 0 on
     inequality rows, with sum y_i a_i = 0 and sum y_i b_i > 0.
@@ -82,8 +83,6 @@ def solve_feasibility(n, eqs, ges) -> Feasibility:
     tab = []
     sigma = []
     for i, (a, b, is_eq) in enumerate(rows):
-        a = [Fraction(c) for c in a]
-        b = Fraction(b)
         if len(a) != n:
             raise ValueError("coefficient row has wrong length")
         K = lcm(b.denominator, *(c.denominator for c in a))

@@ -9,9 +9,12 @@ gauge-potential system, and the one-parameter-subgroup limits by the exact
 simplex.  The lattice residues, the admissible resolutions and the
 stability masks are recomputed by the exhaustive searches the library
 replaced with direct constructions.  The simplex itself, the resolution
-check and the triangle scans are checked against the Fraction versions the
-library replaced with integer ones.  The segment walk is kept with its own
-test after the containing-triangulation base case stopped using it.
+check, the triangle scans and the junior-plane predicates (barycentric
+coordinates, triangle membership, on-segment, areas) are checked against
+the Fraction versions the library replaced with integer ones; a finished
+triangulation is checked by an area sum and a separating-axis test on its
+Fraction points.  The segment walk and the star subdivision are kept with
+their own tests after the library stopped using them.
 
 Every lattice oracle reads an `HNFLattice`: the canonical Hermite normal
 form basis, with a Fraction solve in it, that the library replaced with
@@ -594,6 +597,100 @@ def lattice_points_on_segment(L, a, b):
         raise ArithmeticError("the primitive step does not divide the segment")
     return tuple(vadd(a, tuple(j * x for x in step))
                  for j in range(count.numerator + 1))
+
+
+# ---------------------------------------------------------------------------
+# the Fraction junior-plane geometry the grid predicates replaced
+
+
+def project_p12(w):
+    """Drop the third coordinate; maps the junior simplex onto Delta'."""
+    return (F(w[0]), F(w[1]))
+
+
+def _area2(a, b, c):
+    # twice the signed area of the projected triangle; also equals
+    # det3 of the three sum-one vertices
+    return cross2(vsub(project_p12(b), project_p12(a)),
+                  vsub(project_p12(c), project_p12(a)))
+
+
+def _on_segment(p, a, b):
+    pa, ba = vsub(project_p12(p), project_p12(a)), vsub(project_p12(b), project_p12(a))
+    if cross2(ba, pa) != 0:
+        return False
+    t = None
+    for i in range(2):
+        if ba[i] != 0:
+            t = pa[i] / ba[i]
+            break
+    if t is None:
+        return p == a
+    return 0 <= t <= 1
+
+
+def _barycentric(p, a, b, c):
+    ab = vsub(project_p12(b), project_p12(a))
+    ac = vsub(project_p12(c), project_p12(a))
+    ap = vsub(project_p12(p), project_p12(a))
+    area = cross2(ab, ac)
+    s = cross2(ap, ac) / area
+    t = cross2(ab, ap) / area
+    return (1 - s - t, s, t)  # coefficients at a, b, c
+
+
+def _in_triangle(p, a, b, c):
+    la, lb, lc = _barycentric(p, a, b, c)
+    return la >= 0 and lb >= 0 and lc >= 0
+
+
+def star_subdivide(triangle, w):
+    """Star subdivision of a junior-plane triangle at an interior or edge
+    point: up to three triangles (w,B,C), (w,A,C), (w,A,B), degenerate ones
+    dropped."""
+    a, b, c = (tuple(F(x) for x in p) for p in triangle)
+    w = tuple(F(x) for x in w)
+    if _area2(a, b, c) == 0:
+        raise ValueError("degenerate triangle")
+    if w in (a, b, c):
+        raise ValueError("subdivision point must not be a vertex")
+    if not _in_triangle(w, a, b, c):
+        raise ValueError("subdivision point must lie in the triangle")
+    pieces = [(w, b, c), (w, a, c), (w, a, b)]
+    return [t for t in pieces if _area2(*t) != 0]
+
+
+def _interiors_disjoint(t1, t2):
+    # separating-axis test for convex polygons, exact
+    for tri_a, tri_b in ((t1, t2), (t2, t1)):
+        for i in range(3):
+            a = project_p12(tri_a[i])
+            b = project_p12(tri_a[(i + 1) % 3])
+            d = vsub(b, a)
+            sides_a = [cross2(d, vsub(project_p12(p), a)) for p in tri_a]
+            sides_b = [cross2(d, vsub(project_p12(p), a)) for p in tri_b]
+            if max(sides_a) <= 0 and min(sides_b) >= 0:
+                return True
+            if min(sides_a) >= 0 and max(sides_b) <= 0:
+                return True
+    return False
+
+
+def det3(u, v, w):
+    return dot(u, cross3(v, w))
+
+
+def covers_simplex(T):
+    """Area sum equals area of Delta and triangle interiors are pairwise
+    disjoint, on the triangulation's Fraction points."""
+    coords = [tuple(T.points[i] for i in t) for t in T.triangles]
+    total = sum(abs(det3(*t)) for t in coords)
+    if total != 1:  # det3(e1, e2, e3)
+        return False
+    for t1, t2 in itertools.combinations(coords, 2):
+        if not _interiors_disjoint(t1, t2):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

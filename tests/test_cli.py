@@ -5,6 +5,8 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import pytest
+
 import clab
 from clab.cli import RunConfig, _select_resolution, main
 from clab.surface import build_action, build_N2, enumerate_admissible_resolutions
@@ -267,6 +269,19 @@ def test_config_format_checked_against_choices(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "format 'xml'" in err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("n", "abc"), ("n", True), ("seed", "x"), ("samples", "x"),
+    ("budget", 1.5), ("gens", [[1, "1"]]), ("gens", [[1, 1, 1]]),
+    ("resolution", 3), ("command", 7), ("out", 5),
+])
+def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, key, value):
+    obj = {"command": "verify", "n": 3, "gens": [[1, 1]], key: value}
+    code, out, err = _replay(tmp_path, capsys, obj)
+    assert code == 2
+    assert out == ""
+    assert f"bad config: {key} must be" in err
 
 
 def test_unwritable_out_is_usage_error(tmp_path, capsys):

@@ -1,0 +1,86 @@
+"""The CLI's output on a fixed sweep of 100 requests, against committed
+hashes.
+
+Each case is one `clab` command line.  A JSON reply is hashed byte for byte
+with its `generated_at` line removed; a usage error is kept as its message.
+The hashes in `golden_sweep.json` pin the output of every `triangulate`
+selector, every admissible list, and every seeded `verify` and `moduli`
+report in the sweep, so a refactor that changes any of them fails here.
+
+To re-record after an intended change of output:
+
+    PYTHONPATH=src python -m tests.test_golden --write
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+from clab.cli import main
+
+GOLDEN = Path(__file__).with_name("golden_sweep.json")
+
+TRIANGULATE_GROUPS = ("24:1,7", "12:1,7;0,6", "12:1,5;0,6", "30:1,11",
+                      "18:1,5;0,9")
+SELECTORS = ("min", "max", "0", "1", "5", "17", "-1")
+VERIFY_GROUPS = ("4:1,3", "2:1,1;1,0", "5:1,2", "6:2,1;0,3", "7:1,3", "8:1,3",
+                 "4:1,1;2,0", "8:1,2", "9:3,1", "10:1,3")
+SEEDS = ("0", "1", "7")
+
+
+def _group_args(group):
+    n, gens = group.split(":")
+    return ["--n", n, "--gens", gens]
+
+
+def cases():
+    """Case label -> argv, in a fixed order."""
+    out = {}
+    for g in TRIANGULATE_GROUPS:
+        for sel in SELECTORS:
+            out[f"triangulate {g} {sel}"] = [*_group_args(g), "triangulate",
+                                             "--resolution", sel]
+        out[f"resolutions {g}"] = [*_group_args(g), "resolutions"]
+    for g in VERIFY_GROUPS:
+        for cmd in ("verify", "moduli"):
+            for seed in SEEDS:
+                out[f"{cmd} {g} seed {seed}"] = [*_group_args(g), cmd,
+                                                 "--seed", seed]
+    return out
+
+
+def digest(argv):
+    """{"exit", "sha256"} of a JSON reply without its generated_at line, or
+    {"exit", "error"} with the message of a failed request."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([*argv, "--format", "json"])
+    if code == 2:
+        return {"exit": code, "error": stderr.getvalue().strip()}
+    lines = stdout.getvalue().splitlines(keepends=True)
+    kept = "".join(ln for ln in lines if not ln.startswith('  "generated_at": '))
+    if len(kept) == len(stdout.getvalue()):
+        raise ValueError(f"no generated_at line in the reply to {argv}")
+    return {"exit": code, "sha256": hashlib.sha256(kept.encode()).hexdigest()}
+
+
+def sweep():
+    return {label: digest(argv) for label, argv in cases().items()}
+
+
+def test_sweep_matches_golden_hashes():
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    got = sweep()
+    assert len(got) == 100
+    assert sorted(got) == sorted(expected)
+    changed = [label for label in got if got[label] != expected[label]]
+    assert changed == []
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python -m tests.test_golden --write")
+    GOLDEN.write_text(json.dumps(sweep(), indent=1) + "\n", encoding="utf-8")

@@ -1,7 +1,8 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import clab.junior as junior
@@ -16,15 +17,12 @@ from clab.junior import (
     amp_restriction_surjective,
     build_containing_triangulation,
     build_junior,
-    covers_simplex,
     is_basic,
     lift_to_junior,
     make_triangulation,
     nef_cone,
-    project_p12,
     regularity_certificate,
     slice_resolution,
-    star_subdivide,
     stabilizer_x_axis,
 )
 from clab.lattice import lattice_from_generators, lattice_points_in_triangle, vec
@@ -38,11 +36,17 @@ from clab.surface import (
     minimal_resolution,
 )
 
-from .oracles import fraction_simplex
+from . import oracles
+from .oracles import covers_simplex, fraction_simplex, project_p12, star_subdivide
 
 
 def cyclic(n, a, b):
     return build_action(n, [(a, b)])
+
+
+def grid_point(q, N):
+    """The junior-plane point (x, y, z) of the grid pair (N x, N y)."""
+    return (F(q[0], N), F(q[1], N), 1 - F(q[0] + q[1], N))
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +191,15 @@ def test_is_basic_rejects_coarse_triangle():
     # the whole simplex as one triangle has normalized area 2
     T = make_triangulation(J.lattice, [(E1, E2, E3)])
     assert not is_basic(T)
+
+
+def test_is_basic_rejects_partial_cover():
+    # two of the three unimodular triangles around 1/3(1,1,1) leave a gap
+    A = cyclic(3, 1, 1)
+    b = vec(F(1, 3), F(1, 3), F(1, 3))
+    L = build_junior(A).lattice
+    assert is_basic(make_triangulation(L, [(E1, E2, b), (E2, E3, b), (E3, E1, b)]))
+    assert not is_basic(make_triangulation(L, [(E1, E2, b), (E2, E3, b)]))
 
 
 def test_regularity_certificate_exists_for_constructions():
@@ -382,12 +395,16 @@ def test_certificate_lps_match_fraction_simplex(monkeypatch):
 def test_junior_point_filter_equals_lattice_scan(monkeypatch, n, gens):
     A = build_action(n, gens)
     J = build_junior(A)
+    N = J.lattice.N
     filtered = junior._points_in_triangle
+    point_of = dict(zip(J.grid, J.points))
     visited = []
 
     def checked(points, a, b, c):
+        # the filter runs on grid pairs; the scan on the points they stand for
         pts = filtered(points, a, b, c)
-        assert tuple(pts) == lattice_points_in_triangle(J.lattice, a, b, c)
+        scan = lattice_points_in_triangle(J.lattice, *(grid_point(q, N) for q in (a, b, c)))
+        assert tuple(point_of[q] for q in pts) == scan
         visited.append((a, b, c))
         return pts
 
@@ -396,3 +413,77 @@ def test_junior_point_filter_equals_lattice_scan(monkeypatch, n, gens):
     for Y in resolutions:
         build_containing_triangulation(J, Y)
     assert len(visited) >= len(resolutions)
+
+
+# ---------------------------------------------------------------------------
+# the grid predicates against the Fraction geometry they replaced
+
+
+@st.composite
+def grid_triangles(draw):
+    """N, a non-degenerate triangle of grid pairs in either orientation,
+    and a grid pair that is a vertex, on an edge, or anywhere nearby."""
+    N = draw(st.integers(1, 12))
+    coord = st.integers(-2 * N, 2 * N)
+    tri = [(draw(coord), draw(coord)) for _ in range(3)]
+    assume(junior._cross(*tri) != 0)
+    kind = draw(st.sampled_from(["vertex", "edge", "any"]))
+    if kind == "vertex":
+        p = draw(st.sampled_from(tri))
+    elif kind == "edge":
+        i = draw(st.integers(0, 2))
+        a, b = tri[i], tri[(i + 1) % 3]
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        steps = gcd(dx, dy)
+        k = draw(st.integers(-1, steps + 1))
+        p = (a[0] + k * dx // steps, a[1] + k * dy // steps)
+    else:
+        p = (draw(coord), draw(coord))
+    return N, tri, p
+
+
+@settings(max_examples=400, deadline=None)
+@given(grid_triangles())
+def test_grid_predicates_match_fraction_oracles(case):
+    N, (a, b, c), p = case
+    A, B, C, P = (grid_point(q, N) for q in (a, b, c, p))
+    assert junior._cross(a, b, c) == oracles._area2(A, B, C) * N * N
+    for tri in ((a, b, c), (a, c, b)):
+        assert junior._in_triangle(p, *tri) == oracles._in_triangle(
+            P, *(grid_point(q, N) for q in tri))
+    for u, v in ((a, b), (b, c), (c, a), (b, a), (a, a)):
+        assert junior._on_segment(p, u, v) == oracles._on_segment(
+            P, grid_point(u, N), grid_point(v, N))
+
+
+def test_make_triangulation_rejects_off_grid_points():
+    L = build_junior(cyclic(3, 1, 1)).lattice
+    with pytest.raises(ValueError, match="grid"):
+        make_triangulation(L, [(E1, E2, vec(F(1, 6), F(1, 6), F(2, 3)))])
+    with pytest.raises(ValueError, match="plane"):
+        make_triangulation(L, [(E1, E2, vec(F(1, 3), F(1, 3), F(2, 3)))])
+    T = make_triangulation(L, [(E1, E2, vec(F(1, 3), F(1, 3), F(1, 3)))])
+    assert T.grid == ((0, 3), (1, 1), (3, 0))
+
+
+def test_wall_rows_are_area_scaled_barycentric_rows():
+    # each integer row is the Fraction row of the barycentric coordinates of
+    # d in (a, b, c), times the area of abc, which is N on a basic
+    # triangulation
+    A = build_action(12, [(1, 5), (0, 6)])
+    J = build_junior(A)
+    N = J.lattice.N
+    for Y in enumerate_admissible_resolutions(build_N2(A))[::7]:
+        T = build_containing_triangulation(J, Y)
+        assert T.points == J.points
+        e2t = T.edge_triangles()
+        for (a_i, b_i), row in T.wall_rows:
+            t1, t2 = e2t[(a_i, b_i)]
+            c_i = next(i for i in t1 if i not in (a_i, b_i))
+            d_i = next(i for i in t2 if i not in (a_i, b_i))
+            la, lb, lc = oracles._barycentric(
+                *(T.points[i] for i in (d_i, a_i, b_i, c_i)))
+            expected = [0] * len(T.points)
+            expected[d_i], expected[a_i], expected[b_i], expected[c_i] = (
+                N, -la * N, -lb * N, -lc * N)
+            assert list(row) == expected
