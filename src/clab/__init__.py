@@ -11,9 +11,9 @@ from .lattice import (
     Lattice,
     is_member,
     lattice_from_generators,
-    lattice_points_in_triangle,
     pair_determinant,
     primitive_in_lattice,
+    triangle_grid,
 )
 from .surface import (
     AbelianAction,
@@ -71,9 +71,9 @@ __all__ = [
     "build_containing_triangulation", "build_junior", "build_mckay_quiver",
     "build_N2", "enumerate_admissible_resolutions", "enumerate_fixed_stable",
     "is_basic", "is_dominated_by_max", "is_generic", "is_member", "is_small",
-    "lattice_from_generators", "lattice_points_in_triangle", "lift_to_junior",
-    "make_theta", "maximal_resolution", "minimal_resolution", "moduli_fan",
-    "nef_cone", "pair_determinant", "primitive_in_lattice", "ps_limit",
+    "lattice_from_generators", "lift_to_junior", "make_theta",
+    "maximal_resolution", "minimal_resolution", "moduli_fan", "nef_cone",
+    "pair_determinant", "primitive_in_lattice", "ps_limit",
     "realize_resolution", "regularity_certificate", "sample_generic",
-    "verify_main_theorem", "walls",
+    "triangle_grid", "verify_main_theorem", "walls",
 ]

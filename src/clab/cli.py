@@ -49,6 +49,12 @@ from .thetaspace import sample_generic, verify_main_theorem
 COMMANDS = ("group", "minres", "maxres", "resolutions", "triangulate",
             "moduli", "verify")
 FORMATS = ("text", "json", "svg", "dot")
+# `moduli` and `verify` enumerate the torus-fixed supports and sample
+# generic thetas, and both grow steeply with |G|.  A cold `moduli` on one
+# core of CPython 3.11 takes 0.7 s at 1/11(1,3), 9 s at 1/14(1,3), 23 s at
+# 1/15(1,2) and 58 s at 1/16(1,3); at order 18 `sample_generic` can run out
+# of its draws, and the subset-sum table has 2^|G| entries.
+MAX_MODULI_ORDER = 14
 
 
 class UsageError(Exception):
@@ -203,10 +209,22 @@ def _select_resolution(cfg, N2):
     return make_resolution(N2, admissible[idx])
 
 
+def _drawing(cfg, Y):
+    """The fan Y drawn in the format the config asks for, if it is one."""
+    if cfg.format == "svg":
+        return draw.svg_resolution(Y)
+    if cfg.format == "dot":
+        return draw.dot_resolution(Y)
+    return None
+
+
 def run(cfg: RunConfig):
     """Execute a config; returns (exit_code, output_text)."""
     A = build_action(cfg.n, cfg.gens)
     N2 = build_N2(A)
+    if cfg.command in ("moduli", "verify") and A.order > MAX_MODULI_ORDER:
+        raise UsageError(f"{cfg.command} supports groups of order at most "
+                         f"{MAX_MODULI_ORDER}; this one has order {A.order}")
 
     if cfg.command == "group":
         facts = _group_facts(A)
@@ -223,9 +241,7 @@ def run(cfg: RunConfig):
         payload = _group_facts(A)
         payload["resolution"] = Y.to_json()
         payload["text"] = _fmt_resolution(Y)
-        return 0, _emit(cfg, payload,
-                        drawing=draw.svg_resolution(Y) if cfg.format == "svg"
-                        else draw.dot_resolution(Y) if cfg.format == "dot" else None)
+        return 0, _emit(cfg, payload, drawing=_drawing(cfg, Y))
 
     if cfg.command == "resolutions":
         res = enumerate_admissible_resolutions(N2)
@@ -264,10 +280,8 @@ def run(cfg: RunConfig):
             f"regular={payload['regular']}, "
             f"amp restriction surjective={payload['amp_restriction_surjective']}"
         )
-        return 0, _emit(cfg, payload,
-                        drawing=draw.svg_triangulation(T) if cfg.format == "svg"
-                        else draw.dot_triangulation(T) if cfg.format == "dot"
-                        else None)
+        return 0, _emit(cfg, payload, drawing=payload[cfg.format]
+                        if cfg.format in ("svg", "dot") else None)
 
     if cfg.command == "moduli":
         Q = build_mckay_quiver(A)
@@ -300,10 +314,7 @@ def run(cfg: RunConfig):
             + ("pass" if contained else "FAIL")
         )
         code = 0 if contained else 1
-        return code, _emit(cfg, payload,
-                           drawing=draw.svg_resolution(fan) if cfg.format == "svg"
-                           else draw.dot_resolution(fan) if cfg.format == "dot"
-                           else None)
+        return code, _emit(cfg, payload, drawing=_drawing(cfg, fan))
 
     if cfg.command == "verify":
         rep = verify_main_theorem(A, cfg.samples, cfg.budget, seed=cfg.seed)

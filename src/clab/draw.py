@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .junior import Triangulation
-from .lattice import lattice_points_in_triangle
+from .lattice import triangle_grid
 from .surface import Resolution
 
 _SIZE = 420
@@ -42,11 +42,9 @@ def svg_resolution(res: Resolution) -> str:
                'stroke="#999" stroke-width="1"/>')
     out.append(f'<line x1="{o[0]}" y1="{o[1]}" x2="{ax2[0]}" y2="{ax2[1]}" '
                'stroke="#999" stroke-width="1"/>')
-    pts = lattice_points_in_triangle(res.lattice, (0, 0), (1, 0), (0, 1))
-    for p in pts:
-        if p == (0, 0):
-            continue
-        c = _px(*p)
+    N = res.lattice.N
+    for X, Y in triangle_grid(res.lattice)[1:]:  # [0] is the origin
+        c = _px(Fraction(X, N), Fraction(Y, N))
         out.append(f'<circle cx="{c[0]}" cy="{c[1]}" r="2" fill="#888"/>')
     for r in res.rays:
         tip = _px(*r)
@@ -78,13 +76,12 @@ def svg_triangulation(T: Triangulation) -> str:
         f'height="{_SIZE}" viewBox="0 0 {_SIZE} {_SIZE}">'
     ]
     span = Fraction(11, 10)
+    px = [_px(p[0], p[1], span) for p in T.points]
     for t in T.triangles:
-        coords = [_px(T.points[i][0], T.points[i][1], span) for i in t]
-        pts = " ".join(f"{x},{y}" for x, y in coords)
+        pts = " ".join(f"{px[i][0]},{px[i][1]}" for i in t)
         out.append(f'<polygon points="{pts}" fill="#eef6ee" stroke="#2c3e50" '
                    'stroke-width="1"/>')
-    for p in T.points:
-        x, y = _px(p[0], p[1], span)
+    for p, (x, y) in zip(T.points, px):
         out.append(f'<circle cx="{x}" cy="{y}" r="3" fill="#c0392b"/>')
         out.append(f'<text x="{x + 5}" y="{y - 4}" font-size="10">'
                    f'({p[0]},{p[1]},{p[2]})</text>')

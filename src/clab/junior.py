@@ -25,8 +25,8 @@ from .lattice import (
     Lattice,
     is_member,
     lattice_from_generators,
-    lattice_points_in_triangle,
     rat_str,
+    triangle_grid,
     vec,
     vsub,
 )
@@ -66,22 +66,29 @@ def _to_grid(p, N):
     return X, Y
 
 
+def _points(grid, N):
+    """The junior-plane points (x, y, z) of grid pairs, in their order."""
+    return tuple((Fraction(X, N), Fraction(Y, N), Fraction(N - X - Y, N))
+                 for X, Y in grid)
+
+
 @dataclass(frozen=True)
 class JuniorSimplex:
     """The triangle with vertices e1, e2, e3 in (N3)_R together with all its
-    lattice points (the age-one group elements plus the vertices)."""
+    lattice points (the age-one group elements plus the vertices), stored
+    as `grid`, their lex-sorted N-scaled integer pairs."""
 
     lattice: Lattice
-    points: tuple
+    grid: tuple
 
     @property
     def vertices(self):
         return (E1, E2, E3)
 
     @functools.cached_property
-    def grid(self):
-        """The points as N-scaled integer pairs, in the same (lex) order."""
-        return tuple(_to_grid(p, self.lattice.N) for p in self.points)
+    def points(self):
+        """The points (x, y, z), in the order of `grid`."""
+        return _points(self.grid, self.lattice.N)
 
 
 def build_junior(A: AbelianAction) -> JuniorSimplex:
@@ -94,12 +101,7 @@ def build_junior(A: AbelianAction) -> JuniorSimplex:
     if N3.N != A.order:
         raise TriangulationError(
             f"N3 has index {N3.N}, not the order {A.order}")
-    pts = lattice_points_in_triangle(N3, E1, E2, E3)
-    if any(sum(p) != 1 or min(p) < 0 for p in pts):
-        raise TriangulationError("a junior point lies off the simplex")
-    if not {E1, E2, E3} <= set(pts):
-        raise TriangulationError("the junior points miss a vertex")
-    return JuniorSimplex(N3, pts)
+    return JuniorSimplex(N3, triangle_grid(N3))
 
 
 def lift_to_junior(J: JuniorSimplex, v):
@@ -153,9 +155,7 @@ class Triangulation:
     @functools.cached_property
     def points(self):
         """The points (x, y, z), in the order of `grid`."""
-        N = self.lattice.N
-        return tuple((Fraction(X, N), Fraction(Y, N), Fraction(N - X - Y, N))
-                     for X, Y in self.grid)
+        return _points(self.grid, self.lattice.N)
 
     def edges(self):
         return sorted(self.edge_triangles())
@@ -290,7 +290,8 @@ def regularity_certificate(T: Triangulation):
     res = solve_feasibility(len(T.grid), [], [(r, 1) for _, r in rows])
     if res.feasible:
         for edge, r in rows:
-            if sum(c * h for c, h in zip(r, res.point)) < 1:
+            # a wall row has four nonzero entries; skip the zero products
+            if sum(c * h for c, h in zip(r, res.point) if c) < 1:
                 raise TriangulationError(
                     f"the heights are not strictly convex across {edge}")
         return PLSupportFunction(T, tuple(res.point))

@@ -5,14 +5,17 @@ lies in Z^d, and L is the set of points v with N * v integral and N * v
 mod N in a residue set: the group L / Z^d, scaled by N.  A lattice is
 stored as (dim, N, residues).  That triple is canonical, so two equal
 lattices are syntactically equal, and membership is one residue lookup.
-Every predicate is decided in exact arithmetic; no floats.
+The pipeline asks for the points of two fixed triangles only, Delta' in N2
+and the junior triangle in N3, and `triangle_grid` reads both off the
+residues in one integer scan.  Every predicate is decided in exact
+arithmetic; no floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from math import gcd, lcm
 
 
 # ---------------------------------------------------------------------------
@@ -30,20 +33,8 @@ def vsub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
-
-
 def cross2(u, v):
     return u[0] * v[1] - u[1] * v[0]
-
-
-def cross3(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
 
 
 def rat_str(q) -> str:
@@ -152,82 +143,22 @@ def pair_determinant(L: Lattice, u, v) -> Fraction:
     return cross2(u, v) * L.N
 
 
-def lattice_points_in_triangle(L: Lattice, a, b, c):
-    """All points of L in the closed triangle abc, in lexicographic order.
+def triangle_grid(L: Lattice):
+    """The points of L in the fixed unit triangle, as N-scaled integer pairs
+    (X, Y) in lexicographic order, N = [L : Z^dim].
 
-    In dimension 3 the three vertices must be affinely independent points of
-    a common rational plane (the junior-plane case).
-    """
-    a = tuple(Fraction(x) for x in a)
-    b = tuple(Fraction(x) for x in b)
-    c = tuple(Fraction(x) for x in c)
-    if L.dim == 2:
-        pts = _points_triangle_2d(L, a, b, c)
-    else:
-        pts = _points_triangle_planar_3d(L, a, b, c)
-    return tuple(sorted(pts))
-
-
-def _halfplanes(a, b, c, N):
-    """Integer rows (alpha, beta, gamma), one per edge of the plane triangle
-    abc: the point (p, q) / N lies in the closed triangle iff
-    alpha * p + beta * q + gamma >= 0 for all three rows."""
-    area = cross2(vsub(b, a), vsub(c, a))
-    if area == 0:
-        raise ValueError("degenerate triangle")
-    sign = 1 if area > 0 else -1
-    rows = []
-    for u, v in ((a, b), (b, c), (c, a)):
-        # N * cross2(v - u, x - u) at x = (p, q) / N
-        coeffs = (u[1] - v[1], v[0] - u[0], N * cross2(u, v))
-        den = lcm(*(x.denominator for x in coeffs))
-        rows.append(tuple(sign * int(x * den) for x in coeffs))
-    return rows
-
-
-def _scaled_box(a, b, c, i, N):
-    """The integers p with p / N between the least and the greatest i-th
-    coordinate of a, b and c."""
-    xs = (a[i], b[i], c[i])
-    return range(ceil(min(xs) * N), floor(max(xs) * N) + 1)
-
-
-def _points_triangle_2d(L, a, b, c):
+    In dimension 2 the triangle is Delta' = conv(0, e1, e2), and a pair
+    stands for the point (X, Y) / N.  In dimension 3 it is the junior
+    triangle conv(e1, e2, e3) on the plane x + y + z = 1, and a pair stands
+    for (X, Y, N - X - Y) / N.  Every such point lies on the (1/N)-grid, so
+    one scan over X, Y >= 0 with X + Y <= N keeps those whose residue is in
+    L."""
     N = L.N
-    rows = _halfplanes(a, b, c, N)
+    dim = L.dim
     residues = L.residues
-    out = []
-    for p in _scaled_box(a, b, c, 0, N):
-        for q in _scaled_box(a, b, c, 1, N):
-            if (all(al * p + be * q + ga >= 0 for al, be, ga in rows)
-                    and (p % N, q % N) in residues):
-                out.append((Fraction(p, N), Fraction(q, N)))
-    return out
-
-
-def _points_triangle_planar_3d(L, a, b, c):
-    n = cross3(vsub(b, a), vsub(c, a))
-    k = max(range(3), key=lambda i: abs(n[i]))  # axis solved from plane eqn
-    i1, i2 = [i for i in range(3) if i != k]
-    N = L.N
-    # containment is decided in the projection to the (i1, i2) plane, which
-    # is degenerate iff n = 0
-    rows = _halfplanes(*((p[i1], p[i2]) for p in (a, b, c)), N)
-    # the plane n.x = n.a on scaled coordinates X = N x, with integer m
-    den = lcm(*(x.denominator for x in (*n, dot(n, a))))
-    m = [int(x * den) for x in n]
-    m0 = int(dot(n, a) * den) * N
-    residues = L.residues
-    out = []
-    for p in _scaled_box(a, b, c, i1, N):
-        for q in _scaled_box(a, b, c, i2, N):
-            if any(al * p + be * q + ga < 0 for al, be, ga in rows):
-                continue
-            r = m0 - m[i1] * p - m[i2] * q
-            if r % m[k]:
-                continue
-            pt = [0, 0, 0]
-            pt[i1], pt[i2], pt[k] = p, q, r // m[k]
-            if tuple(x % N for x in pt) in residues:
-                out.append(tuple(Fraction(x, N) for x in pt))
-    return out
+    return tuple(
+        (X, Y)
+        for X in range(N + 1)
+        for Y in range(N + 1 - X)
+        if (X % N, Y % N, -(X + Y) % N)[:dim] in residues
+    )

@@ -34,12 +34,17 @@ class ModuliFanError(RuntimeError):
 
 @dataclass(frozen=True)
 class McKayQuiver:
-    """Vertices are characters of G (cosets of (Z/n)^2 by the annihilator of
-    the element pairing); each vertex carries an x-arrow shifting by the
-    class of (1,0) and a y-arrow shifting by the class of (0,1)."""
+    """Vertices are the characters of G; each vertex carries an x-arrow
+    shifting by the class of (1,0) and a y-arrow shifting by the class of
+    (0,1).
+
+    A pair (u, v) mod n is the character g = (a, b) -> zeta_n^(u a + v b),
+    and `table` maps every pair in [0, n)^2 to the index of its character,
+    so each lookup is one reduction mod n."""
 
     action: AbelianAction
-    vertices: tuple  # canonical (min-lex) coset representatives, sorted
+    vertices: tuple  # the least pair of each character, sorted
+    table: dict = field(compare=False, repr=False)
 
     @property
     def order(self):
@@ -51,13 +56,9 @@ class McKayQuiver:
         moduli fan take their primitive rays."""
         return build_N2(self.action)
 
-    def _canon(self, u, v):
-        n = self.action.n
-        ann = _annihilator(self.action)
-        return min(((u + p) % n, (v + q) % n) for p, q in ann)
-
     def vertex_index(self, u, v):
-        return self.vertices.index(self._canon(u, v))
+        n = self.action.n
+        return self.table[u % n, v % n]
 
     def arrow_head(self, tail: int, kind: str) -> int:
         u, v = self.vertices[tail]
@@ -69,7 +70,7 @@ class McKayQuiver:
 
     @property
     def trivial_vertex(self) -> int:
-        return self.vertices.index(self._canon(0, 0))
+        return self.table[0, 0]
 
     def arrows(self):
         return tuple(
@@ -77,32 +78,26 @@ class McKayQuiver:
         )
 
 
-@lru_cache(maxsize=None)
-def _annihilator(A: AbelianAction):
-    n = A.n
-    return tuple(
-        (u, v)
-        for u in range(n)
-        for v in range(n)
-        if all((u * a + v * b) % n == 0 for a, b in A.elements)
-    )
-
-
 def build_mckay_quiver(A: AbelianAction) -> McKayQuiver:
+    """The character table in one pass over (u, v) mod n: two pairs are one
+    character iff they pair equally with every generator of G.  The pairs
+    come in lexicographic order, so the first pair of each character is its
+    least, and the vertices come out sorted."""
     n = A.n
-    ann = set(_annihilator(A))
-    reps = set()
+    index = {}  # pairing with the generators -> vertex index
+    vertices = []
+    table = {}
     for u in range(n):
         for v in range(n):
-            reps.add(min(((u + p) % n, (v + q) % n) for p, q in ann))
-    vertices = tuple(sorted(reps))
+            key = tuple((u * a + v * b) % n for a, b in A.gens)
+            if key not in index:
+                index[key] = len(vertices)
+                vertices.append((u, v))
+            table[u, v] = index[key]
     if len(vertices) != A.order:
         raise ValueError(f"the action has {len(vertices)} characters, "
                          f"not its order {A.order}")
-    Q = McKayQuiver(A, vertices)
-    if Q.trivial_vertex != 0:
-        raise ValueError("the trivial character is not vertex 0")
-    return Q
+    return McKayQuiver(A, tuple(vertices), table)
 
 
 ARROW_STEP = {"x": (1, 0), "y": (0, 1)}
@@ -203,11 +198,7 @@ class FixedConstellation:
         return {"arrows": self.arrow_ids()}
 
 
-def _cell_char(Q: McKayQuiver, i, j):
-    return Q.vertex_index(i % Q.action.n, j % Q.action.n)
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)  # bounded: one entry per group, far above desk use
 def fixed_candidates(Q: McKayQuiver):
     """All supports satisfying square-compatibility, acyclicity and
     weight-consistency that are connected (disconnected supports are never
@@ -232,7 +223,7 @@ def fixed_candidates(Q: McKayQuiver):
         if not frontier:
             return
         head, rest = frontier[0], frontier[1:]
-        ch = _cell_char(Q, *head)
+        ch = Q.vertex_index(*head)
         if ch not in chars:
             new_nb = [
                 nb for nb in neighbors(head)
@@ -243,7 +234,7 @@ def fixed_candidates(Q: McKayQuiver):
                  banned)
         grow(cells, chars, rest, banned | {head})
 
-    grow({(0, 0)}, {_cell_char(Q, 0, 0)}, sorted(set(neighbors((0, 0)))),
+    grow({(0, 0)}, {Q.vertex_index(0, 0)}, sorted(set(neighbors((0, 0)))),
          frozenset())
 
     result = []
@@ -258,22 +249,22 @@ def _constellation_from_cells(Q, cells):
     m = Q.order
     cell_of = {}
     for cell in cells:
-        cell_of[_cell_char(Q, *cell)] = cell
+        cell_of[Q.vertex_index(*cell)] = cell
     if len(cell_of) != m:
         return None
     arrows = []
     for cell in cells:
         for kind, (di, dj) in ARROW_STEP.items():
             if (cell[0] + di, cell[1] + dj) in cells:
-                arrows.append((kind, _cell_char(Q, *cell)))
+                arrows.append((kind, Q.vertex_index(*cell)))
     # square-compatibility: the two length-2 paths around each cell square
     # are present together or not at all
     aset = set(arrows)
     for cell in cells:
         i, j = cell
-        chi = _cell_char(Q, i, j)
-        left = ("x", chi) in aset and ("y", _cell_char(Q, i + 1, j)) in aset
-        right = ("y", chi) in aset and ("x", _cell_char(Q, i, j + 1)) in aset
+        chi = Q.vertex_index(i, j)
+        left = ("x", chi) in aset and ("y", Q.vertex_index(i + 1, j)) in aset
+        right = ("y", chi) in aset and ("x", Q.vertex_index(i, j + 1)) in aset
         if left != right:
             return None
     degrees = tuple(cell_of[v] for v in range(m))

@@ -16,9 +16,9 @@ from .lattice import (
     _closure,
     cross2,
     lattice_from_generators,
-    lattice_points_in_triangle,
     primitive_in_lattice,
     rat_str,
+    triangle_grid,
     vadd,
     vec,
 )
@@ -234,13 +234,18 @@ def maximal_resolution(N2: Lattice) -> Resolution:
 
 
 def _maximal_rays(N2: Lattice):
-    """The rays of `maximal_resolution`, not validated."""
-    pts = lattice_points_in_triangle(N2, (0, 0), (1, 0), (0, 1))
-    rays = [
-        p for p in pts
-        if p != (0, 0) and p == primitive_in_lattice(N2, p)
-    ]
-    return sort_rays_by_angle(rays)
+    """The rays of `maximal_resolution`, not validated.
+
+    The points of N2 on a ray are the multiples of its primitive point, and
+    Delta' is star-shaped from 0, so the lexicographic scan of Delta' meets
+    the primitive point of each ray in it first."""
+    N = N2.N
+    first = {}
+    for X, Y in triangle_grid(N2)[1:]:  # [0] is the origin
+        g = gcd(X, Y)
+        first.setdefault((X // g, Y // g), (X, Y))
+    return sort_rays_by_angle(vec(Fraction(X, N), Fraction(Y, N))
+                              for X, Y in first.values())
 
 
 MAX_OPTIONAL_RAYS = 20  # subset enumeration guard, desk scale

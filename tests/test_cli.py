@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 import clab
-from clab.cli import RunConfig, _select_resolution, main
+from clab.cli import MAX_MODULI_ORDER, RunConfig, _select_resolution, main
 from clab.surface import build_action, build_N2, enumerate_admissible_resolutions
 
 from .test_surface import TRIANGULATE_GROUPS
@@ -184,6 +185,17 @@ def test_verify_rejects_negative_samples(capsys):
     assert code == 2
     assert out == ""
     assert "samples must be at least 0" in err
+
+
+@pytest.mark.parametrize("command", ["moduli", "verify"])
+def test_moduli_and_verify_refuse_large_groups(capsys, command):
+    # order 18 is past the bound: refused before any enumeration or sampling
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "--n", "18", "--gens", "1,5", command)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert "order 18" in err and f"at most {MAX_MODULI_ORDER}" in err
 
 
 def test_usage_error_exit_code(capsys):

@@ -25,7 +25,7 @@ from clab.junior import (
     slice_resolution,
     stabilizer_x_axis,
 )
-from clab.lattice import lattice_from_generators, lattice_points_in_triangle, vec
+from clab.lattice import lattice_from_generators, vec
 from clab.linprog import Feasibility, check_farkas, solve_feasibility
 from clab.surface import (
     build_action,
@@ -37,7 +37,14 @@ from clab.surface import (
 )
 
 from . import oracles
-from .oracles import covers_simplex, fraction_simplex, project_p12, star_subdivide
+from .oracles import (
+    covers_simplex,
+    fraction_simplex,
+    hnf_N3,
+    points_in_triangle_by_fractions,
+    project_p12,
+    star_subdivide,
+)
 
 
 def cyclic(n, a, b):
@@ -243,10 +250,18 @@ def test_regularity_certificate_rechecks_heights(monkeypatch):
     A = cyclic(8, 1, 3)
     T = build_containing_triangulation(build_junior(A),
                                        maximal_resolution(build_N2(A)))
-    monkeypatch.setattr(junior, "solve_feasibility",
-                        lambda n, eqs, ges: Feasibility(True, (F(0),) * n))
-    with pytest.raises(TriangulationError):
-        regularity_certificate(T)
+    # certified heights, raised at a point whose entry in the first wall row
+    # is negative until that wall is no longer strictly convex
+    good = list(regularity_certificate(T).heights)
+    _, row = T.wall_rows[0]
+    i = next(i for i, c in enumerate(row) if c < 0)
+    raised = list(good)
+    raised[i] += sum(c * h for c, h in zip(row, good))
+    for heights in ([F(0)] * len(good), raised):
+        monkeypatch.setattr(junior, "solve_feasibility",
+                            lambda n, eqs, ges: Feasibility(True, tuple(heights)))
+        with pytest.raises(TriangulationError):
+            regularity_certificate(T)
 
 
 def test_wall_rows_reject_overlapping_triangles():
@@ -396,14 +411,19 @@ def test_junior_point_filter_equals_lattice_scan(monkeypatch, n, gens):
     A = build_action(n, gens)
     J = build_junior(A)
     N = J.lattice.N
+    H = hnf_N3(A)
     filtered = junior._points_in_triangle
     point_of = dict(zip(J.grid, J.points))
     visited = []
+    scans = {}  # the resolutions share most sub-triangles
 
     def checked(points, a, b, c):
         # the filter runs on grid pairs; the scan on the points they stand for
         pts = filtered(points, a, b, c)
-        scan = lattice_points_in_triangle(J.lattice, *(grid_point(q, N) for q in (a, b, c)))
+        if (a, b, c) not in scans:
+            scans[a, b, c] = points_in_triangle_by_fractions(
+                H, *(grid_point(q, N) for q in (a, b, c)))
+        scan = scans[a, b, c]
         assert tuple(point_of[q] for q in pts) == scan
         visited.append((a, b, c))
         return pts

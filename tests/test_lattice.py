@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction as F
 
 import pytest
@@ -8,9 +7,9 @@ from hypothesis import strategies as st
 from clab.lattice import (
     is_member,
     lattice_from_generators,
-    lattice_points_in_triangle,
     pair_determinant,
     primitive_in_lattice,
+    triangle_grid,
     vec,
 )
 
@@ -23,6 +22,14 @@ from .oracles import (
 
 def N2_of(n, a, b):
     return lattice_from_generators(2, [(F(a, n), F(b, n))])
+
+
+def triangle_points(L):
+    """The points the pairs of `triangle_grid` stand for: (X, Y) / N in
+    Delta', (X, Y, N - X - Y) / N on the junior triangle."""
+    N = L.N
+    return tuple(tuple(F(c, N) for c in (X, Y, N - X - Y)[:L.dim])
+                 for X, Y in triangle_grid(L))
 
 
 def test_hnf_basis_one_third():
@@ -88,7 +95,7 @@ def test_pair_determinant_examples():
 
 def test_triangle_points_one_eighth():
     L8 = N2_of(8, 1, 3)
-    pts = lattice_points_in_triangle(L8, (0, 0), (1, 0), (0, 1))
+    pts = triangle_points(L8)
     expected = {
         vec(0, 0), vec(1, 0), vec(0, 1),
         vec(F(1, 8), F(3, 8)), vec(F(3, 8), F(1, 8)), vec(F(1, 2), F(1, 2)),
@@ -100,20 +107,14 @@ def test_triangle_points_one_eighth():
 
 def test_triangle_points_unit_triangle_trivial():
     Z2 = lattice_from_generators(2, [])
-    pts = lattice_points_in_triangle(Z2, (0, 0), (1, 0), (0, 1))
-    assert set(pts) == {vec(0, 0), vec(1, 0), vec(0, 1)}
-
-
-def test_triangle_points_degenerate_rejected():
-    Z2 = lattice_from_generators(2, [])
-    with pytest.raises(ValueError):
-        lattice_points_in_triangle(Z2, (0, 0), (1, 1), (2, 2))
+    assert triangle_grid(Z2) == ((0, 0), (0, 1), (1, 0))
+    assert triangle_points(Z2) == (vec(0, 0), vec(0, 1), vec(1, 0))
 
 
 def test_junior_plane_points_one_eighth():
     n = 8
     L = lattice_from_generators(3, [(F(1, n), F(3, n), F(-4, n))])
-    pts = lattice_points_in_triangle(L, (1, 0, 0), (0, 1, 0), (0, 0, 1))
+    pts = triangle_points(L)
     expected = {
         vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1),
         vec(F(1, 8), F(3, 8), F(1, 2)), vec(F(3, 8), F(1, 8), F(1, 2)),
@@ -179,46 +180,28 @@ def test_pair_determinant_antisymmetric_and_integral(w):
 def test_triangle_symmetry_under_axis_swap(n):
     # symmetric action 1/n(1,1): triangle scan closed under swapping axes
     L = N2_of(n, 1, 1)
-    pts = lattice_points_in_triangle(L, (0, 0), (1, 0), (0, 1))
+    pts = triangle_grid(L)
     assert {(p[1], p[0]) for p in pts} == set(pts)
 
 
 @settings(max_examples=60, deadline=None)
-@given(weights, st.integers(0, 10 ** 6))
-def test_triangle_points_match_fraction_scan(w, seed):
-    # integer half-planes against the Fraction barycentric scan, on triangles
-    # with lattice and non-lattice vertices, in the plane and on rational
-    # planes in 3-space
+@given(weights, st.tuples(st.sampled_from((2, 3)), st.integers(0, 2),
+                          st.integers(0, 2)))
+def test_triangle_points_match_fraction_scan(w, w2):
+    # the residue scan against the Fraction barycentric scan of the same
+    # triangle: Delta' in N2 and the junior triangle in N3, for groups with
+    # one generator and with two (the second of order 2 or 3, which keeps
+    # the Fraction scan of the (1/N)-grid small)
     n, a, b = w
-    rng = random.Random(seed)
-
-    def rat(lo=-2 * n, hi=4 * n):
-        return F(rng.randint(lo, hi), 2 * n)
-
-    g2 = [(F(a, n), F(b, n))]
-    g3 = [(F(a, n), F(b, n), F(-a - b, n))]
-    for gens in (g2, g3):
-        L = lattice_from_generators(len(gens[0]), gens)
-        H = hnf_lattice(len(gens[0]), gens)
-        tris = [((0, 0, 0)[:L.dim], (1, 0, 0)[:L.dim], (0, 1, 0)[:L.dim])]
-        if L.dim == 3:
-            tris.append(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-        for _ in range(4):
-            tris.append(tuple(tuple(rat() for _ in range(L.dim))
-                              for _ in range(3)))
-        if L.dim == 3:  # on the junior plane
-            for _ in range(4):
-                tris.append(tuple((x, y, 1 - x - y)
-                                  for x, y in ((rat(0, 2 * n), rat(0, 2 * n))
-                                               for _ in range(3))))
-        for tri in tris:
-            try:
-                expected = points_in_triangle_by_fractions(H, *tri)
-            except ValueError:
-                with pytest.raises(ValueError):
-                    lattice_points_in_triangle(L, *tri)
-                continue
-            assert lattice_points_in_triangle(L, *tri) == expected
+    m, c, d = w2
+    for weighted in ([(a, b, n)], [(a, b, n), (c, d, m)]):
+        g2 = [(F(p, k), F(q, k)) for p, q, k in weighted]
+        g3 = [(F(p, k), F(q, k), F(-p - q, k)) for p, q, k in weighted]
+        for gens, tri in ((g2, ((0, 0), (1, 0), (0, 1))),
+                          (g3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))):
+            L = lattice_from_generators(len(tri[0]), gens)
+            H = hnf_lattice(len(tri[0]), gens)
+            assert triangle_points(L) == points_in_triangle_by_fractions(H, *tri)
 
 
 @st.composite

@@ -24,12 +24,14 @@ from clab.quiver import _limit_feasible
 from clab.surface import build_action, build_N2, minimal_resolution
 
 from .oracles import (
+    characters_by_annihilator,
     fm_cone_of_support,
     hnf_N2,
     lp_limit_feasible,
     principal_closures,
     upclosed_masks,
 )
+from .test_surface import COLD_GROUPS
 
 
 def cyclic(n, a, b):
@@ -46,6 +48,22 @@ def test_quiver_one_third():
     # both arrow families advance the character index by one step
     for v in range(3):
         assert Q.arrow_head(v, "x") == Q.arrow_head(v, "y")
+
+
+def test_character_table_matches_annihilator_cosets():
+    # every 1/n(1,q) with n <= 12 and the groups with two generators; the
+    # lookups take pairs outside [0, n)^2 on both sides
+    for group in COLD_GROUPS + [(18, [(1, 5), (0, 9)])]:
+        A = build_action(*group)
+        Q = build_mckay_quiver(A)
+        vertices, canon = characters_by_annihilator(A)
+        assert Q.vertices == vertices, group
+        assert Q.trivial_vertex == vertices.index(canon(0, 0)) == 0
+        n = A.n
+        for u in range(-n, 2 * n):
+            for v in range(-n, 2 * n):
+                assert Q.vertex_index(u, v) == vertices.index(canon(u, v)), \
+                    (group, u, v)
 
 
 def test_quiver_one_eighth_shifts():

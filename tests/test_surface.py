@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clab.junior import build_junior
-from clab.lattice import lattice_from_generators, pair_determinant, vec
+from clab.lattice import lattice_from_generators, pair_determinant, triangle_grid, vec
 from clab.surface import (
     boundary_divisor,
     build_action,
@@ -20,6 +20,7 @@ from clab.surface import (
     resolution_from_json,
     sort_rays_by_angle,
 )
+from clab.surface import _maximal_rays
 
 from .oracles import (
     admissible_by_subsets,
@@ -27,6 +28,7 @@ from .oracles import (
     hnf_N2,
     hnf_N3,
     make_resolution_by_fractions,
+    maximal_rays_by_primitive_filter,
     residues_by_scan,
 )
 
@@ -220,6 +222,21 @@ def test_admissible_by_blowups_equal_subset_enumeration():
     for group in COLD_GROUPS + TRIANGULATE_GROUPS:
         N2 = build_N2(build_action(*group))
         assert enumerate_admissible_resolutions(N2) == admissible_by_subsets(N2), group
+
+
+def test_maximal_rays_match_primitive_filter():
+    # the first scanned point per direction against a primitive-point test
+    # of every point of Delta' (the scan itself is checked against the
+    # Fraction scan in test_lattice), for every 1/n(1,q) with n <= 30 and
+    # the non-cyclic groups
+    groups = [(n, [(1, q)]) for n in range(1, 31) for q in range(n)]
+    for group in groups + COLD_GROUPS[-5:] + TRIANGULATE_GROUPS:
+        A = build_action(*group)
+        N2 = build_N2(A)
+        N = N2.N
+        pts = [(F(X, N), F(Y, N)) for X, Y in triangle_grid(N2)]
+        assert _maximal_rays(N2) == \
+            maximal_rays_by_primitive_filter(hnf_N2(A), pts), group
 
 
 def _check_or_message(make, lattice, rays):
