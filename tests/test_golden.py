@@ -1,11 +1,14 @@
-"""The CLI's output on a fixed sweep of 100 requests, against committed
+"""The CLI's output on a fixed sweep of 157 requests, against committed
 hashes.
 
 Each case is one `clab` command line.  A JSON reply is hashed byte for byte
-with its `generated_at` line removed; a usage error is kept as its message.
-The hashes in `golden_sweep.json` pin the output of every `triangulate`
-selector, every admissible list, and every seeded `verify` and `moduli`
-report in the sweep, so a refactor that changes any of them fails here.
+with its `generated_at` line removed, an SVG or DOT reply whole; a usage
+error is kept as its message.  The hashes in `golden_sweep.json` pin the
+output of every `triangulate` selector, every admissible list, every seeded
+`verify` and `moduli` report, the `group`, `minres` and `maxres` reports of
+every group in the sweep, and the drawings of the maximal resolution and of
+one moduli fan for three groups, so a refactor that changes any of them
+fails here.
 
 To re-record after an intended change of output:
 
@@ -29,6 +32,9 @@ SELECTORS = ("min", "max", "0", "1", "5", "17", "-1")
 VERIFY_GROUPS = ("4:1,3", "2:1,1;1,0", "5:1,2", "6:2,1;0,3", "7:1,3", "8:1,3",
                  "4:1,1;2,0", "8:1,2", "9:3,1", "10:1,3")
 SEEDS = ("0", "1", "7")
+# a small cyclic group, a cyclic group with a reflection, two generators
+DRAWN_GROUPS = ("8:1,3", "9:3,1", "4:1,1;2,0")
+DRAWINGS = ("svg", "dot")
 
 
 def _group_args(group):
@@ -49,17 +55,32 @@ def cases():
             for seed in SEEDS:
                 out[f"{cmd} {g} seed {seed}"] = [*_group_args(g), cmd,
                                                  "--seed", seed]
+    for g in TRIANGULATE_GROUPS + VERIFY_GROUPS:
+        for cmd in ("group", "minres", "maxres"):
+            out[f"{cmd} {g}"] = [*_group_args(g), cmd]
+    for g in DRAWN_GROUPS:
+        for fmt in DRAWINGS:
+            out[f"maxres {g} {fmt}"] = [*_group_args(g), "maxres",
+                                        "--format", fmt]
+            out[f"moduli {g} seed 0 {fmt}"] = [*_group_args(g), "moduli",
+                                               "--seed", "0", "--format", fmt]
     return out
 
 
 def digest(argv):
-    """{"exit", "sha256"} of a JSON reply without its generated_at line, or
-    {"exit", "error"} with the message of a failed request."""
+    """{"exit", "sha256"} of a JSON reply without its generated_at line or
+    of a drawing whole, or {"exit", "error"} with the message of a failed
+    request.  A case without a --format asks for JSON."""
+    if "--format" not in argv:
+        argv = [*argv, "--format", "json"]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main([*argv, "--format", "json"])
+        code = main(argv)
     if code == 2:
         return {"exit": code, "error": stderr.getvalue().strip()}
+    if argv[argv.index("--format") + 1] != "json":
+        return {"exit": code,
+                "sha256": hashlib.sha256(stdout.getvalue().encode()).hexdigest()}
     lines = stdout.getvalue().splitlines(keepends=True)
     kept = "".join(ln for ln in lines if not ln.startswith('  "generated_at": '))
     if len(kept) == len(stdout.getvalue()):
@@ -74,7 +95,7 @@ def sweep():
 def test_sweep_matches_golden_hashes():
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
     got = sweep()
-    assert len(got) == 100
+    assert len(got) == 157
     assert sorted(got) == sorted(expected)
     changed = [label for label in got if got[label] != expected[label]]
     assert changed == []
