@@ -11,8 +11,7 @@ from .lattice import (
     Lattice,
     is_member,
     lattice_from_generators,
-    pair_determinant,
-    primitive_in_lattice,
+    primitive_point,
     triangle_grid,
 )
 from .surface import (
@@ -25,8 +24,10 @@ from .surface import (
     enumerate_admissible_resolutions,
     is_dominated_by_max,
     is_small,
+    make_resolution,
     maximal_resolution,
     minimal_resolution,
+    resolution_from_grid,
 )
 from .junior import (
     JuniorSimplex,
@@ -37,7 +38,6 @@ from .junior import (
     build_containing_triangulation,
     build_junior,
     is_basic,
-    lift_to_junior,
     nef_cone,
     regularity_certificate,
 )
@@ -54,11 +54,9 @@ from .quiver import (
 )
 from .thetaspace import (
     RealizationReport,
-    Wall,
     realize_resolution,
     sample_generic,
     verify_main_theorem,
-    walls,
 )
 
 __version__ = "0.1.0"
@@ -66,14 +64,14 @@ __version__ = "0.1.0"
 __all__ = [
     "AbelianAction", "BoundaryDivisor", "FixedConstellation", "JuniorSimplex",
     "Lattice", "McKayQuiver", "PLSupportFunction", "RealizationReport",
-    "RegularityRefusal", "Resolution", "Theta", "Triangulation", "Wall",
+    "RegularityRefusal", "Resolution", "Theta", "Triangulation",
     "amp_restriction_surjective", "boundary_divisor", "build_action",
     "build_containing_triangulation", "build_junior", "build_mckay_quiver",
     "build_N2", "enumerate_admissible_resolutions", "enumerate_fixed_stable",
     "is_basic", "is_dominated_by_max", "is_generic", "is_member", "is_small",
-    "lattice_from_generators", "lift_to_junior", "make_theta",
+    "lattice_from_generators", "make_resolution", "make_theta",
     "maximal_resolution", "minimal_resolution", "moduli_fan", "nef_cone",
-    "pair_determinant", "primitive_in_lattice", "ps_limit",
-    "realize_resolution", "regularity_certificate", "sample_generic",
-    "triangle_grid", "verify_main_theorem", "walls",
+    "primitive_point", "ps_limit", "realize_resolution",
+    "regularity_certificate", "resolution_from_grid", "sample_generic",
+    "triangle_grid", "verify_main_theorem",
 ]

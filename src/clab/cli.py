@@ -40,9 +40,9 @@ from .surface import (
     build_N2,
     enumerate_admissible_resolutions,
     is_small,
-    make_resolution,
     maximal_resolution,
     minimal_resolution,
+    resolution_from_grid,
 )
 from .thetaspace import sample_generic, verify_main_theorem
 
@@ -77,7 +77,22 @@ _CONFIG_TYPES = {
     "budget": ("an integer", _is_int),
     "out": ("a string or null", lambda v: v is None or isinstance(v, str)),
     "resolution": ("a string", lambda v: isinstance(v, str)),
+    "theta": ("a list of strings or integers, or null",
+              lambda v: v is None or (isinstance(v, list) and all(
+                  isinstance(t, str) or _is_int(t) for t in v))),
 }
+
+
+def _parse_theta(entries):
+    """The theta entries as Fractions; UsageError naming a bad entry."""
+    out = []
+    for t in entries:
+        try:
+            out.append(Fraction(t))
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(f"bad theta entry {t!r}; expected a rational "
+                             "such as -2 or 3/4") from None
+    return tuple(out)
 
 
 @dataclass
@@ -112,7 +127,7 @@ class RunConfig:
         try:
             obj["gens"] = tuple(tuple(g) for g in obj.get("gens", []))
             th = obj.get("theta")
-            obj["theta"] = None if th is None else tuple(Fraction(t) for t in th)
+            obj["theta"] = None if th is None else _parse_theta(th)
             cfg = cls(**obj)
         except TypeError as e:
             raise UsageError(f"bad config: {e}") from None
@@ -206,7 +221,7 @@ def _select_resolution(cfg, N2):
     admissible = admissible_ray_sequences(N2)
     if not -len(admissible) <= idx < len(admissible):
         raise bad
-    return make_resolution(N2, admissible[idx])
+    return resolution_from_grid(N2, admissible[idx])
 
 
 def _drawing(cfg, Y):
@@ -298,7 +313,7 @@ def run(cfg: RunConfig):
             theta = sample_generic(A, cfg.seed)
         fan = moduli_fan(Q, theta, N2)
         fixed = enumerate_fixed_stable(Q, theta)
-        contained = set(fan.rays) <= set(maximal_resolution(N2).rays)
+        contained = set(fan.grid) <= set(maximal_resolution(N2).grid)
         payload = {
             "action": A.to_json(),
             "theta": theta.to_json(),
@@ -348,7 +363,7 @@ def main(argv=None) -> int:
                 raise UsageError("a command is required")
             theta = None
             if args.theta is not None:
-                theta = tuple(Fraction(t) for t in args.theta.split(","))
+                theta = _parse_theta(args.theta.split(","))
             cfg = RunConfig(
                 command=args.command,
                 n=args.n,

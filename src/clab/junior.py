@@ -9,9 +9,11 @@ point (x, y, z) is its N-scaled integer pair (X, Y) = (N x, N y), and z is
 implied by X + Y + Z = N.  Dropping z is an affine isomorphism of the plane,
 so every planar question (orientation, triangle membership, on-segment,
 areas, wall rows) has an exact integer answer on the pairs.  The lex order
-of the pairs is the lex order of the points.  Fractions are built only
-where a point leaves the module: `JuniorSimplex.points`,
-`Triangulation.points`, `to_json` and `lift_to_junior`.
+of the pairs is the lex order of the points.  A surface ray keeps the
+same pair: N2 and N3 both have index |G|, so the N-scaled pair (X, Y) of a
+ray (a, b) in `Resolution.grid` is the pair of its lift (a, b, 1 - a - b)
+to the junior plane.  Fractions are built only where a point leaves the
+module: `JuniorSimplex.points`, `Triangulation.points` and `to_json`.
 """
 
 from __future__ import annotations
@@ -23,12 +25,10 @@ from fractions import Fraction
 
 from .lattice import (
     Lattice,
-    is_member,
     lattice_from_generators,
     rat_str,
     triangle_grid,
     vec,
-    vsub,
 )
 from .linprog import solve_feasibility
 from .surface import (
@@ -104,17 +104,6 @@ def build_junior(A: AbelianAction) -> JuniorSimplex:
     return JuniorSimplex(N3, triangle_grid(N3))
 
 
-def lift_to_junior(J: JuniorSimplex, v):
-    """The unique point of Delta cap N3 over v in Delta' cap N2."""
-    a, b = Fraction(v[0]), Fraction(v[1])
-    if a < 0 or b < 0 or a + b > 1:
-        raise ValueError(f"{v} does not lie in Delta'")
-    w = (a, b, 1 - a - b)
-    if not is_member(J.lattice, w):
-        raise ValueError(f"lift of {v} is not a lattice point (inconsistent lattices)")
-    return w
-
-
 # ---------------------------------------------------------------------------
 # planar predicates on grid pairs
 
@@ -169,11 +158,11 @@ class Triangulation:
 
     def neighbors_of(self, point):
         idx = self.grid.index(_to_grid(vec(*point), self.lattice.N))
-        out = set()
-        for t in self.triangles:
-            if idx in t:
-                out.update(set(t) - {idx})
-        return tuple(self.points[i] for i in sorted(out))
+        return tuple(self.points[i] for i in self._neighbors(idx))
+
+    def _neighbors(self, idx):
+        """The indices joined to the point of index idx by an edge, sorted."""
+        return sorted({i for t in self.triangles if idx in t for i in t} - {idx})
 
     @functools.cached_property
     def wall_rows(self):
@@ -312,44 +301,12 @@ class NefCone:
     def ambient_dim(self):
         return len(self.triangulation.grid) - 3
 
-    def dimension(self):
-        """dim of {h : rows.h >= 0} modulo the 3-dim affine gauge."""
-        n = len(self.triangulation.grid)
-        ge = [(list(r), 0) for _, r in self.rows]
-        eq_normals = []
-        for edge, r in self.rows:
-            probe = solve_feasibility(n, [], ge + [(list(r), 1)])
-            if not probe.feasible:
-                eq_normals.append(list(r))
-        # gauge: affine functions h(p) = alpha + beta.x + gamma.y always lie
-        # in the cone's lineality space, spanning 3 dimensions
-        rank = _rank(eq_normals)
-        return (n - rank) - 3
-
     def contains(self, heights, strict=False):
         for _, r in self.rows:
             v = sum(c * h for c, h in zip(r, heights))
             if v < 0 or (strict and v == 0):
                 return False
         return True
-
-
-def _rank(rows):
-    rows = [list(map(Fraction, r)) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col] / pr[col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
-        rank += 1
-    return rank
 
 
 def nef_cone(T: Triangulation) -> NefCone:
@@ -371,7 +328,7 @@ def slice_resolution(A: AbelianAction) -> Resolution:
     )
     W = minimal_resolution(LW)
     # SL(2) slice: all rays are crepant, so they sit on the sum-one segment
-    if any(r[0] + r[1] != 1 for r in W.rays):
+    if any(X + Y != LW.N for X, Y in W.grid):
         raise TriangulationError("a slice ray is off the sum-one segment")
     return W
 
@@ -395,10 +352,9 @@ def amp_restriction_surjective(T: Triangulation, A: AbelianAction) -> bool:
         return True
     # rays are equally spaced on the segment, so Nef(W) is simplicial with
     # one tent-shaped extreme ray per exceptional curve
-    spacing = vsub(W.rays[1], W.rays[0])
-    for j in range(1, m):
-        if vsub(W.rays[j + 1], W.rays[j]) != spacing:
-            raise TriangulationError("the slice rays are not equally spaced")
+    if len({(V[0] - U[0], V[1] - U[1])
+            for U, V in itertools.pairwise(W.grid)}) != 1:
+        raise TriangulationError("the slice rays are not equally spaced")
     npts = len(T.points)
     nvars = npts + 2  # heights plus a linear gauge (alpha, beta) on the slice
     wall_ges = [(list(r) + [0, 0], 0) for _, r in T.wall_rows]
@@ -434,14 +390,22 @@ def build_containing_triangulation(J: JuniorSimplex, Y: Resolution) -> Triangula
         raise InadmissibleResolutionError(
             "resolution has a ray outside Delta'; no lift to the junior simplex"
         )
-    lifts = tuple(lift_to_junior(J, v) for v in Y.rays)
+    # each ray's N-scaled pair is its lift's grid pair when N2 and N3 have
+    # one index, and the lift is a point of N3 when its residue is one
     N = J.lattice.N
-    tris = _recurse(J.grid, *(_to_grid(e, N) for e in (E1, E2, E3)),
-                    [_to_grid(p, N) for p in lifts])
+    if Y.lattice.N != N:
+        raise ValueError(f"the resolution's lattice has index {Y.lattice.N}, "
+                         f"the junior simplex's {N}")
+    residues = J.lattice.residues
+    for i, (a, b) in enumerate(Y.grid):
+        if (a % N, b % N, -(a + b) % N) not in residues:
+            raise ValueError(f"the lift of {Y.rays[i]} is not a lattice point "
+                             "(inconsistent lattices)")
+    tris = _recurse(J.grid, (N, 0), (0, N), (0, 0), list(Y.grid))
     T = _triangulation(J.lattice, tris)
     if not is_basic(T):
         raise TriangulationError("the triangulation is not basic")
-    if set(T.neighbors_of(E3)) != set(lifts):
+    if {T.grid[i] for i in T._neighbors(T.grid.index((0, 0)))} != set(Y.grid):
         raise TriangulationError("the neighbours of e3 are not the lifts of Y")
     return T
 

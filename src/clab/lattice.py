@@ -5,10 +5,12 @@ lies in Z^d, and L is the set of points v with N * v integral and N * v
 mod N in a residue set: the group L / Z^d, scaled by N.  A lattice is
 stored as (dim, N, residues).  That triple is canonical, so two equal
 lattices are syntactically equal, and membership is one residue lookup.
-The pipeline asks for the points of two fixed triangles only, Delta' in N2
-and the junior triangle in N3, and `triangle_grid` reads both off the
-residues in one integer scan.  Every predicate is decided in exact
-arithmetic; no floats.
+The pipeline keeps its points N-scaled, as integer vectors: the primitive
+point of L on a ray is one walk over the divisors of N (`primitive_point`),
+and the points of the two fixed triangles it asks for, Delta' in N2 and the
+junior triangle in N3, come from one integer scan of the residues
+(`triangle_grid`).  Every predicate is decided in exact arithmetic; no
+floats.
 """
 
 from __future__ import annotations
@@ -19,18 +21,10 @@ from math import gcd, lcm
 
 
 # ---------------------------------------------------------------------------
-# small exact-vector helpers (vectors are plain tuples of Fractions)
+# small exact-vector helpers (vectors are plain tuples of Fractions or ints)
 
 def vec(*coords):
     return tuple(Fraction(c) for c in coords)
-
-
-def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def cross2(u, v):
@@ -114,16 +108,14 @@ def is_member(L: Lattice, v) -> bool:
     return tuple(r) in L.residues
 
 
-def primitive_in_lattice(L: Lattice, v):
-    """The primitive point of L on the ray R_{>=0} * v."""
-    v = tuple(Fraction(c) for c in v)
-    if all(c == 0 for c in v):
-        raise ValueError("zero vector has no primitive multiple")
-    if len(v) != L.dim:
+def primitive_point(L: Lattice, V):
+    """The primitive point of L on the ray R_{>=0} * V, for a nonzero
+    integer vector V, as its N-scaled integer vector, N = [L : Z^dim]."""
+    if len(V) != L.dim:
         raise ValueError("dimension mismatch")
-    den = lcm(*(c.denominator for c in v))
-    V = [c.numerator * (den // c.denominator) for c in v]
     g = gcd(*V)
+    if g == 0:
+        raise ValueError("zero vector has no primitive multiple")
     V = [x // g for x in V]
     # V is primitive in Z^dim, so the points of L on the ray are k * V / N
     # for the k > 0 with k * V mod N a residue.  Those k mod N form a
@@ -131,16 +123,7 @@ def primitive_in_lattice(L: Lattice, v):
     N = L.N
     k = next(k for k in range(1, N + 1)
              if N % k == 0 and tuple(k * x % N for x in V) in L.residues)
-    return tuple(Fraction(k * x, N) for x in V)
-
-
-def pair_determinant(L: Lattice, u, v) -> Fraction:
-    """det[u v] / covolume(L); the pair is an L-basis iff this is +-1."""
-    if L.dim != 2 or len(u) != 2 or len(v) != 2:
-        raise ValueError("pair_determinant requires dimension 2")
-    u = tuple(Fraction(c) for c in u)
-    v = tuple(Fraction(c) for c in v)
-    return cross2(u, v) * L.N
+    return tuple(k * x for x in V)
 
 
 def triangle_grid(L: Lattice):

@@ -16,8 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .lattice import Lattice, cross2, is_member, primitive_in_lattice, rat_str
-from .surface import AbelianAction, Resolution, build_N2, make_resolution
+from .lattice import Lattice, cross2, is_member, primitive_point, rat_str
+from .surface import AbelianAction, Resolution, build_N2, resolution_from_grid
 
 
 class NonGenericThetaError(ValueError):
@@ -140,8 +140,9 @@ class FixedConstellation:
     @functools.cached_property
     def cone(self):
         """The closed cone C_A = {u in the quadrant : <u, d> >= 0 for every
-        normal d}, as its primitive boundary rays (lo, hi) in N2, or None
-        when it is not full-dimensional.
+        normal d}, as its primitive boundary rays (lo, hi) in N2, N-scaled
+        to integer pairs as in `Resolution.grid`, or None when it is not
+        full-dimensional.
 
         It depends on the support alone, not on theta, so it is computed
         once per candidate: the quadrant is cut by one half-plane at a
@@ -167,7 +168,7 @@ class FixedConstellation:
         if cross2(lo, hi) <= 0:
             return None
         N2 = self.quiver.N2
-        return (primitive_in_lattice(N2, lo), primitive_in_lattice(N2, hi))
+        return (primitive_point(N2, lo), primitive_point(N2, hi))
 
     @functools.cached_property
     def stability_masks(self):
@@ -371,9 +372,9 @@ def ps_limit(Q: McKayQuiver, theta: Theta, u, N2: Lattice) -> FixedConstellation
 
 def moduli_fan_cones(Q: McKayQuiver, theta: Theta, N2: Lattice):
     """The full-dimensional cones C_A of the stable supports, angle ordered,
-    with their bounding primitive rays; raises if they fail to tile the
-    quadrant.  N2 must be the lattice of Q's action, in which the cones of
-    the candidates keep their rays."""
+    with their bounding primitive rays as N-scaled integer pairs; raises if
+    they fail to tile the quadrant.  N2 must be the lattice of Q's action,
+    in which the cones of the candidates keep their rays."""
     if N2 != Q.N2:
         raise ValueError("N2 is not the lattice of the quiver's action")
     if not is_generic(theta):
@@ -397,5 +398,4 @@ def moduli_fan_cones(Q: McKayQuiver, theta: Theta, N2: Lattice):
 def moduli_fan(Q: McKayQuiver, theta: Theta, N2: Lattice) -> Resolution:
     """The toric fan of the moduli space of theta-stable constellations."""
     cones = moduli_fan_cones(Q, theta, N2)
-    rays = [cones[0][1]] + [hi for _, _, hi in cones]
-    return make_resolution(N2, rays)
+    return resolution_from_grid(N2, [cones[0][1]] + [hi for _, _, hi in cones])

@@ -1,6 +1,14 @@
 """Finite abelian diagonal actions on C^2 and the surface-side toric pipeline:
 boundary divisor, minimal resolution, discrepancies, maximal resolution and
 the admissible resolutions in between.
+
+Every ray is a primitive point of N2, which lies on the (1/N)-grid, N =
+[N2 : Z^2] = |G|, so inside the package a ray (a, b) is its N-scaled
+integer pair (N a, N b).  Every check, the blow-ups and the bound
+a + b <= 1 of Delta' are integer on the pairs, and the lex order of the
+pairs is the lex order of the rays.  Fractions are built only where a
+caller reads rays: `Resolution.rays`, `discrepancies` and `to_json`, and
+the rational input of `make_resolution`.
 """
 
 from __future__ import annotations
@@ -8,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from math import gcd
 
 from .lattice import (
@@ -16,15 +24,10 @@ from .lattice import (
     _closure,
     cross2,
     lattice_from_generators,
-    primitive_in_lattice,
+    primitive_point,
     rat_str,
     triangle_grid,
-    vadd,
-    vec,
 )
-
-E1 = vec(1, 0)
-E2 = vec(0, 1)
 
 
 @dataclass(frozen=True)
@@ -97,17 +100,15 @@ class BoundaryDivisor:
 
 
 def boundary_divisor(A: AbelianAction) -> BoundaryDivisor:
+    """e_i' = e_i / m_i is the primitive point of N2 on the i-th axis; its
+    N-scaled coordinate k_i divides N, and m_i = N / k_i."""
     N2 = build_N2(A)
-    e1p = primitive_in_lattice(N2, E1)
-    e2p = primitive_in_lattice(N2, E2)
-    m1 = 1 / e1p[0]
-    m2 = 1 / e2p[1]
-    if m1.denominator != 1 or m2.denominator != 1:
+    N = N2.N
+    k1 = primitive_point(N2, (1, 0))[0]
+    k2 = primitive_point(N2, (0, 1))[1]
+    if N % k1 or N % k2:
         raise ValueError("the primitive axis points are not of the form e_i/m_i")
-    m1, m2 = m1.numerator, m2.numerator
-    if A.order % m1 or A.order % m2:
-        raise ValueError(f"m1={m1}, m2={m2} do not divide the order {A.order}")
-    return BoundaryDivisor(m1, m2)
+    return BoundaryDivisor(N // k1, N // k2)
 
 
 # ---------------------------------------------------------------------------
@@ -118,11 +119,24 @@ def boundary_divisor(A: AbelianAction) -> BoundaryDivisor:
 class Resolution:
     """A toric resolution: primitive rays v_0 .. v_s in N2, angle ordered,
     with v_0 on the x-axis, v_s on the y-axis, and consecutive pairs forming
-    N2-bases.  Equality is equality of ray sequences."""
+    N2-bases.  Stored as `grid`, the rays times N = [N2 : Z^2] as integer
+    pairs, with its lattice; equality is equality of ray sequences on one
+    lattice."""
 
-    rays: tuple
-    lattice: Lattice = field(compare=False, repr=False)
-    discrepancies: tuple = field(compare=False)  # for rays[1:-1]
+    grid: tuple
+    lattice: Lattice = field(repr=False)
+
+    @cached_property
+    def rays(self):
+        """The rays (a, b), in the order of `grid`."""
+        N = self.lattice.N
+        return tuple((Fraction(X, N), Fraction(Y, N)) for X, Y in self.grid)
+
+    @property
+    def discrepancies(self):
+        """a + b - 1 for each exceptional ray (a, b)."""
+        N = self.lattice.N
+        return tuple(Fraction(X + Y - N, N) for X, Y in self.grid[1:-1])
 
     @property
     def exceptional_rays(self):
@@ -137,47 +151,55 @@ class Resolution:
         }
 
 
-def make_resolution(lattice: Lattice, rays) -> Resolution:
-    """Validate a ray sequence on integers: each ray scaled by N = [L : Z^2]
-    must be an integer point whose residue lies in L, and each consecutive
-    pair must have cross product exactly N (a positively ordered L-basis)."""
-    rays = tuple(tuple(Fraction(x) for x in r) for r in rays)
-    if len(rays) < 2:
+def _ray(X, Y, N):
+    """The ray of an N-scaled pair, for messages."""
+    return (Fraction(X, N), Fraction(Y, N))
+
+
+def resolution_from_grid(lattice: Lattice, grid) -> Resolution:
+    """The resolution whose rays times N = [L : Z^2] are the pairs `grid`,
+    validated on integers: v_0 on the positive x-axis, v_s on the positive
+    y-axis, every ray in the nonnegative quadrant with its residue in L, and
+    each consecutive pair with cross product exactly N (a positively
+    ordered L-basis, so every ray is primitive)."""
+    grid = tuple(grid)
+    if len(grid) < 2:
         raise ValueError("a resolution needs at least the two boundary rays")
-    if lattice.dim != 2 or any(len(r) != 2 for r in rays):
+    if lattice.dim != 2 or any(len(U) != 2 for U in grid):
         raise ValueError("dimension mismatch")
-    if not (rays[0][1] == 0 and rays[0][0] > 0):
-        raise ValueError("v0 must lie on the positive x-axis")
-    if not (rays[-1][0] == 0 and rays[-1][1] > 0):
-        raise ValueError("v_s must lie on the positive y-axis")
     N = lattice.N
+    if not (grid[0][1] == 0 and grid[0][0] > 0):
+        raise ValueError("v0 must lie on the positive x-axis")
+    if not (grid[-1][0] == 0 and grid[-1][1] > 0):
+        raise ValueError("v_s must lie on the positive y-axis")
     residues = lattice.residues
-    scaled = []
-    for r in rays:
-        if r[0] < 0 or r[1] < 0:
+    for X, Y in grid:
+        if X < 0 or Y < 0:
             raise ValueError("rays must lie in the nonnegative quadrant")
-        # with the unimodular pairs below this makes r primitive: a basis
-        # vector is primitive
-        U = tuple(x.numerator * N // x.denominator for x in r)
-        if (any(N % x.denominator for x in r)
-                or tuple(c % N for c in U) not in residues):
-            raise ValueError(f"ray {r} is not a lattice point")
-        scaled.append(U)
-    for (u, U), (v, V) in itertools.pairwise(zip(rays, scaled)):
+        if (X % N, Y % N) not in residues:
+            raise ValueError(f"ray {_ray(X, Y, N)} is not a lattice point")
+    for U, V in itertools.pairwise(grid):
         det = cross2(U, V)  # N times det[u v] / covolume(L)
         if det <= 0:
             raise ValueError("rays must be strictly ordered by angle")
         if det != N:
-            raise ValueError(f"consecutive rays {u}, {v} are not a lattice basis")
-    disc = tuple(r[0] + r[1] - 1 for r in rays[1:-1])
-    return Resolution(rays, lattice, disc)
+            raise ValueError(f"consecutive rays {_ray(*U, N)}, {_ray(*V, N)} "
+                             "are not a lattice basis")
+    return Resolution(grid, lattice)
 
 
-def resolution_from_json(lattice: Lattice, obj) -> Resolution:
-    rays = [tuple(Fraction(c) for c in obj["v0"])]
-    rays += [tuple(Fraction(c) for c in r) for r in obj["rays"]]
-    rays.append(tuple(Fraction(c) for c in obj["vs"]))
-    return make_resolution(lattice, rays)
+def make_resolution(lattice: Lattice, rays) -> Resolution:
+    """The resolution with the given rational rays, validated by
+    `resolution_from_grid` on the rays times N.  A ray off the (1/N)-grid
+    scales to a pair with a non-integer entry, whose residue is in no
+    residue set, so it fails as "not a lattice point", in the same order of
+    checks as any other bad ray."""
+    N = lattice.N
+    grid = []
+    for r in rays:
+        U = tuple(Fraction(x) * N for x in r)
+        grid.append(tuple(u.numerator if u.denominator == 1 else u for u in U))
+    return resolution_from_grid(lattice, grid)
 
 
 def _angle_cmp(u, v):
@@ -192,16 +214,14 @@ def sort_rays_by_angle(rays):
 def minimal_resolution(N2: Lattice) -> Resolution:
     """Hirzebruch-Jung: the rays are all lattice points on the boundary of
     conv((N2 \\ 0) cap quadrant), walked from e_2' down to e_1'."""
-    return make_resolution(N2, _minimal_rays(N2))
+    return resolution_from_grid(N2, _minimal_rays(N2))
 
 
 def _minimal_rays(N2: Lattice):
-    """The rays of `minimal_resolution`, not validated."""
-    e1p = primitive_in_lattice(N2, E1)
-    e2p = primitive_in_lattice(N2, E2)
+    """The N-scaled rays of `minimal_resolution`, not validated."""
+    X = primitive_point(N2, (1, 0))[0]
+    Y = primitive_point(N2, (0, 1))[1]
     N = N2.N
-    X = int(e1p[0] * N)
-    Y = int(e2p[1] * N)
     residues = N2.residues
     pts = [
         (p, q)
@@ -209,7 +229,7 @@ def _minimal_rays(N2: Lattice):
         for q in range(Y + 1)
         if (p, q) != (0, 0) and (p % N, q % N) in residues
     ]
-    pts.sort()  # x ascending, then y ascending; pts[0] is e2p scaled
+    pts.sort()  # x ascending, then y ascending; pts[0] is e2'
     if pts[0] != (0, Y):
         raise ValueError("the boundary walk does not start at e2'")
     # monotone-chain lower hull keeping collinear boundary points
@@ -224,51 +244,50 @@ def _minimal_rays(N2: Lattice):
                 break
         chain.append(p)
     chain = chain[: chain.index((X, 0)) + 1]
-    return tuple(vec(Fraction(p, N), Fraction(q, N)) for p, q in reversed(chain))
+    return tuple(reversed(chain))
 
 
 def maximal_resolution(N2: Lattice) -> Resolution:
     """All primitive points of N2 in the closed triangle
     Delta' = {a, b >= 0, a + b <= 1}, ordered by angle."""
-    return make_resolution(N2, _maximal_rays(N2))
+    return resolution_from_grid(N2, _maximal_rays(N2))
 
 
 def _maximal_rays(N2: Lattice):
-    """The rays of `maximal_resolution`, not validated.
+    """The N-scaled rays of `maximal_resolution`, not validated.
 
     The points of N2 on a ray are the multiples of its primitive point, and
     Delta' is star-shaped from 0, so the lexicographic scan of Delta' meets
     the primitive point of each ray in it first."""
-    N = N2.N
     first = {}
     for X, Y in triangle_grid(N2)[1:]:  # [0] is the origin
         g = gcd(X, Y)
         first.setdefault((X // g, Y // g), (X, Y))
-    return sort_rays_by_angle(vec(Fraction(X, N), Fraction(Y, N))
-                              for X, Y in first.values())
+    return sort_rays_by_angle(first.values())
 
 
 MAX_OPTIONAL_RAYS = 20  # subset enumeration guard, desk scale
 
 
-def _blowups(u, v):
+def _blowups(u, v, N):
     """Every refinement of the unimodular cone (u, v) into unimodular cones
-    with rays of a + b <= 1, as the tuple of rays strictly between u and v.
+    with rays of a + b <= 1, as the tuple of N-scaled rays strictly between
+    the N-scaled rays u and v.
 
     Each nontrivial one contains u + v (Fulton, Introduction to Toric
     Varieties, 2.6), so it is u + v with a refinement on either side."""
-    w = vadd(u, v)
+    w = (u[0] + v[0], u[1] + v[1])
     out = [()]
-    if w[0] + w[1] <= 1:
+    if w[0] + w[1] <= N:
         out += [left + (w,) + right
-                for left in _blowups(u, w) for right in _blowups(w, v)]
+                for left in _blowups(u, w, N) for right in _blowups(w, v, N)]
     return out
 
 
 def admissible_ray_sequences(N2: Lattice):
-    """The ray sequences of the admissible resolutions, in the order of
-    `enumerate_admissible_resolutions`.  None of them is validated here; a
-    caller passes those it uses to `make_resolution`.
+    """The N-scaled ray sequences of the admissible resolutions, in the
+    order of `enumerate_admissible_resolutions`.  None of them is validated
+    here; a caller passes those it uses to `resolution_from_grid`.
 
     They are built, not searched for: one refinement per pair of
     consecutive minimal rays, each from the blow-up tree of that pair."""
@@ -280,7 +299,7 @@ def admissible_ray_sequences(N2: Lattice):
         raise ValueError(
             f"too many optional rays ({len(optional)}) for subset enumeration"
         )
-    gaps = [_blowups(u, v) for u, v in itertools.pairwise(rmin)]
+    gaps = [_blowups(u, v, N2.N) for u, v in itertools.pairwise(rmin)]
     out = []
     for fills in itertools.product(*gaps):
         rays = [rmin[0]]
@@ -300,11 +319,12 @@ def enumerate_admissible_resolutions(N2: Lattice):
     consecutive ray pairs are unimodular; includes the minimal and maximal.
     Sorted by (number of rays, rays), so an index into the tuple names one
     resolution."""
-    return tuple(make_resolution(N2, rays)
-                 for rays in admissible_ray_sequences(N2))
+    return tuple(resolution_from_grid(N2, grid)
+                 for grid in admissible_ray_sequences(N2))
 
 
 def is_dominated_by_max(Y: Resolution) -> bool:
     """True iff every exceptional ray (a, b) has a + b <= 1, i.e. every
     discrepancy is <= 0."""
-    return all(d <= 0 for d in Y.discrepancies)
+    N = Y.lattice.N
+    return all(X + Z <= N for X, Z in Y.grid[1:-1])

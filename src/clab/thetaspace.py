@@ -1,10 +1,10 @@
-"""The stability parameter space: walls, seeded generic sampling, and the
+"""The stability parameter space: seeded generic sampling, and the
 realization search that checks which resolutions arise as moduli of stable
-constellations."""
+constellations.  Fans are kept and compared as their N-scaled ray pairs,
+`Resolution.grid`."""
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -28,38 +28,6 @@ from .surface import (
 
 class RetryBudgetError(RuntimeError):
     """Generic sampling failed repeatedly (pathological)."""
-
-
-@dataclass(frozen=True)
-class Wall:
-    """The hyperplane theta(S) = 0; S is canonically the representative not
-    containing the trivial character (its complement defines the same wall)."""
-
-    subset: tuple
-
-    def contains(self, theta: Theta) -> bool:
-        return sum(theta.values[i] for i in self.subset) == 0
-
-    def sign(self, theta: Theta) -> int:
-        s = sum(theta.values[i] for i in self.subset)
-        return 0 if s == 0 else (1 if s > 0 else -1)
-
-
-def walls(A: AbelianAction):
-    """All distinct walls: one per nonempty subset of the nontrivial
-    characters (complements are deduplicated by the canonical choice)."""
-    Q = build_mckay_quiver(A)
-    m = Q.order
-    nontrivial = [v for v in range(m) if v != Q.trivial_vertex]
-    out = []
-    for size in range(1, m):
-        for combo in itertools.combinations(nontrivial, size):
-            out.append(Wall(combo))
-    return tuple(out)
-
-
-def wall_sign_vector(A: AbelianAction, theta: Theta):
-    return tuple(w.sign(theta) for w in walls(A))
 
 
 def derive_seed(seed: int, k: int) -> int:
@@ -94,7 +62,7 @@ class RealizeOutcome:
     resolution: Resolution
     theta: Theta | None
     samples_tried: int
-    distinct_fans: tuple
+    distinct_fans: tuple  # the grids of the fans seen, sorted
 
     @property
     def realized(self) -> bool:
@@ -126,7 +94,7 @@ def realize_resolution(A: AbelianAction, Y: Resolution, budget: int,
     for k in range(budget):
         theta = sample_generic(A, derive_seed(seed, k))
         fan = moduli_fan(Q, theta, N2)
-        fans.add(fan.rays)
+        fans.add(fan.grid)
         if fan == Y:
             if moduli_fan(Q, theta, N2) != Y:
                 raise ModuliFanError("the moduli fan of a realizing theta "
@@ -145,7 +113,7 @@ class RealizationReport:
     samples: int
     budget: int
     containment_violations: tuple
-    sampled_fans: tuple  # distinct ray tuples seen in the only-if audit
+    sampled_fans: tuple  # the distinct grids seen in the only-if audit
     outcomes: tuple  # one RealizeOutcome per admissible resolution
     fixed_point_counts: tuple = field(default=())
 
@@ -184,16 +152,16 @@ def verify_main_theorem(A: AbelianAction, samples: int, budget: int,
         raise ValueError("samples must be at least 0")
     Q = build_mckay_quiver(A)
     N2 = build_N2(A)
-    max_rays = set(maximal_resolution(N2).rays)
+    max_rays = set(maximal_resolution(N2).grid)
     fans = set()
     violations = []
     counts = []
     for k in range(samples):
         theta = sample_generic(A, derive_seed(seed, k))
         fan = moduli_fan(Q, theta, N2)
-        fans.add(fan.rays)
-        counts.append(len(fan.rays) - 1)
-        if not set(fan.rays) <= max_rays:
+        fans.add(fan.grid)
+        counts.append(len(fan.grid) - 1)
+        if not set(fan.grid) <= max_rays:
             violations.append((theta.to_json(), fan.to_json()))
     outcomes = []
     for j, Y in enumerate(enumerate_admissible_resolutions(N2)):

@@ -17,16 +17,9 @@ from clab.junior import (
     build_containing_triangulation,
     build_junior,
     is_basic,
-    lift_to_junior,
     regularity_certificate,
 )
-from clab.lattice import (
-    cross2,
-    lattice_from_generators,
-    pair_determinant,
-    primitive_in_lattice,
-    vec,
-)
+from clab.lattice import cross2, lattice_from_generators, vec
 from clab.quiver import (
     build_mckay_quiver,
     moduli_fan,
@@ -42,6 +35,8 @@ from clab.surface import (
     minimal_resolution,
 )
 from clab.thetaspace import sample_generic, verify_main_theorem
+
+from .oracles import lift_to_junior, pair_determinant, primitive_in_lattice, scaled
 
 
 def cyclic(n, a, b):
@@ -88,7 +83,7 @@ def test_criterion_2_a_series(capsys):
         assert all(d == 0 for d in rmin.discrepancies)
         rep = verify_main_theorem(A, samples=50, budget=1000, seed=0)
         assert rep.passed
-        assert rep.sampled_fans == (rmin.rays,)
+        assert rep.sampled_fans == (rmin.grid,)
         assert all(c == r for c in rep.fixed_point_counts)
     elapsed = time.monotonic() - t0
     assert elapsed < 30
@@ -132,7 +127,7 @@ def test_criterion_4_oracle_equivalence(capsys):
             theta = sample_generic(A, seed)
             cones = moduli_fan_cones(Q, theta, N2)
             fan = moduli_fan(Q, theta, N2)
-            assert fan.rays == (cones[0][1],) + tuple(hi for _, _, hi in cones)
+            assert fan.grid == (cones[0][1],) + tuple(hi for _, _, hi in cones)
             sampled_supports = []
             for u in sorted(directions,
                             key=lambda d: (F(d[1], d[0]))):  # by angle
@@ -233,8 +228,10 @@ def test_criterion_6_invariant_suites(capsys):
         N2 = build_N2(A)
         theta = sample_generic(A, rng.randint(0, 10 ** 6))
         cones = moduli_fan_cones(Q, theta, N2)
-        assert cones[0][1] == primitive_in_lattice(N2, (1, 0))
-        assert cones[-1][2] == primitive_in_lattice(N2, (0, 1))
+        e1p, e2p = scaled([primitive_in_lattice(N2, (1, 0)),
+                           primitive_in_lattice(N2, (0, 1))], N2.N)
+        assert cones[0][1] == e1p
+        assert cones[-1][2] == e2p
         for (_, _, hi), (_, lo, _) in zip(cones, cones[1:]):
             assert hi == lo
         fan = moduli_fan(Q, theta, N2)

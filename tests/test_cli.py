@@ -160,6 +160,30 @@ def test_moduli_fractional_theta_matches_integer_multiple(capsys):
     assert "not generic" in errors[0]
 
 
+@pytest.mark.parametrize("entry", ["1/0", "x", "", "1/2/3"])
+def test_bad_theta_entry_is_usage_error(tmp_path, capsys, entry):
+    # on the command line and on replay, a theta entry that is not a
+    # rational exits 2 with the entry named, not with a traceback
+    theta = [entry, "1", "-1"]
+    for code, out, err in (
+            run_cli(capsys, "--n", "3", "--gens", "1,2",
+                    "--theta", ",".join(theta), "moduli"),
+            _replay(tmp_path, capsys, {"command": "moduli", "n": 3,
+                                       "gens": [[1, 2]], "theta": theta})):
+        assert code == 2
+        assert out == ""
+        assert f"bad theta entry {entry!r}" in err
+        assert "Traceback" not in err
+
+
+def test_replayed_theta_of_strings_and_integers(tmp_path, capsys):
+    code, out, _ = _replay(tmp_path, capsys, {
+        "command": "moduli", "n": 3, "gens": [[1, 1]],
+        "theta": ["-2", 1, "1"], "format": "json"})
+    assert code == 0
+    assert json.loads(out)["theta"] == ["-2", "1", "1"]
+
+
 def test_moduli_sampled_seed(capsys):
     code, out, _ = run_cli(capsys, "--n", "8", "--gens", "1,3", "moduli",
                            "--seed", "7", "--format", "json")
@@ -286,7 +310,8 @@ def test_config_format_checked_against_choices(tmp_path, capsys):
 @pytest.mark.parametrize("key,value", [
     ("n", "abc"), ("n", True), ("seed", "x"), ("samples", "x"),
     ("budget", 1.5), ("gens", [[1, "1"]]), ("gens", [[1, 1, 1]]),
-    ("resolution", 3), ("command", 7), ("out", 5),
+    ("resolution", 3), ("command", 7), ("out", 5), ("theta", "1,2,-3"),
+    ("theta", [1.5, 1, -2.5]), ("theta", [[1], 2, -3]),
 ])
 def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, key, value):
     obj = {"command": "verify", "n": 3, "gens": [[1, 1]], key: value}

@@ -18,7 +18,6 @@ from clab.junior import (
     build_containing_triangulation,
     build_junior,
     is_basic,
-    lift_to_junior,
     make_triangulation,
     nef_cone,
     regularity_certificate,
@@ -41,6 +40,8 @@ from .oracles import (
     covers_simplex,
     fraction_simplex,
     hnf_N3,
+    lift_to_junior,
+    nef_cone_dimension,
     points_in_triangle_by_fractions,
     project_p12,
     star_subdivide,
@@ -188,6 +189,25 @@ def test_containing_triangulation_rejects_inadmissible():
         build_containing_triangulation(build_junior(A), bad)
 
 
+def test_containing_triangulation_rejects_lattice_mismatch():
+    # a ray's pair is its lift's grid pair only when N2 and N3 have one
+    # index, and the lift must be a point of N3
+    J = build_junior(cyclic(8, 1, 3))
+    with pytest.raises(ValueError, match="index 3"):
+        build_containing_triangulation(
+            J, maximal_resolution(build_N2(cyclic(3, 1, 1))))
+    Y = maximal_resolution(build_N2(cyclic(8, 1, 5)))
+    with pytest.raises(ValueError, match="not a lattice point"):
+        build_containing_triangulation(J, Y)
+    # the lifts checked pair by pair are the Fraction lifts
+    for A in (cyclic(8, 1, 3), cyclic(12, 1, 7), build_action(2, [(1, 1), (1, 0)])):
+        J = build_junior(A)
+        for Y in enumerate_admissible_resolutions(build_N2(A)):
+            T = build_containing_triangulation(J, Y)
+            assert set(T.neighbors_of(E3)) == \
+                {lift_to_junior(J, v) for v in Y.rays}
+
+
 # ---------------------------------------------------------------------------
 # basicness and regularity
 
@@ -290,12 +310,12 @@ def test_nef_cone_dimensions():
     A = cyclic(3, 1, 1)
     J = build_junior(A)
     T = build_containing_triangulation(J, minimal_resolution(build_N2(A)))
-    assert nef_cone(T).dimension() == 1
+    assert nef_cone_dimension(nef_cone(T)) == 1
 
     triv = build_action(1, [])
     T0 = build_containing_triangulation(build_junior(triv),
                                         minimal_resolution(build_N2(triv)))
-    assert nef_cone(T0).dimension() == 0
+    assert nef_cone_dimension(nef_cone(T0)) == 0
 
 
 def test_nef_cone_full_dimensional_when_regular():
@@ -306,7 +326,7 @@ def test_nef_cone_full_dimensional_when_regular():
     T = build_containing_triangulation(J, maximal_resolution(build_N2(A)))
     cone = nef_cone(T)
     assert cone.ambient_dim() == len(T.points) - 3 == 5
-    assert cone.dimension() == 5
+    assert nef_cone_dimension(cone) == 5
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +8,7 @@ from hypothesis import strategies as st
 from clab.lattice import (
     is_member,
     lattice_from_generators,
-    pair_determinant,
-    primitive_in_lattice,
+    primitive_point,
     triangle_grid,
     vec,
 )
@@ -16,7 +16,9 @@ from clab.lattice import (
 from .oracles import (
     hnf_lattice,
     lattice_points_on_segment,
+    pair_determinant,
     points_in_triangle_by_fractions,
+    primitive_in_lattice,
 )
 
 
@@ -72,17 +74,22 @@ def test_membership_dimension_mismatch():
 
 
 def test_primitive_examples():
+    # N-scaled: (1/2, 0) in N2 of 1/2(1,0), (1, 1) in Z^2, (1/8, 3/8) in
+    # N2 of 1/8(1,3)
     L = N2_of(2, 1, 0)
-    assert primitive_in_lattice(L, (1, 0)) == vec(F(1, 2), 0)
+    assert primitive_point(L, (1, 0)) == (1, 0)
     Z2 = lattice_from_generators(2, [])
-    assert primitive_in_lattice(Z2, (2, 2)) == vec(1, 1)
+    assert primitive_point(Z2, (2, 2)) == (1, 1)
     L8 = N2_of(8, 1, 3)
-    assert primitive_in_lattice(L8, (F(1, 4), F(3, 4))) == vec(F(1, 8), F(3, 8))
+    assert primitive_point(L8, (2, 6)) == (1, 3)
+    assert primitive_point(L8, (-2, 0)) == (-8, 0)
 
 
 def test_primitive_zero_vector_rejected():
     with pytest.raises(ValueError):
-        primitive_in_lattice(lattice_from_generators(2, []), (0, 0))
+        primitive_point(lattice_from_generators(2, []), (0, 0))
+    with pytest.raises(ValueError):
+        primitive_point(lattice_from_generators(2, []), (1, 0, 0))
 
 
 def test_pair_determinant_examples():
@@ -156,10 +163,9 @@ def test_primitive_scaling_invariance(w, kn, kd):
     if a == 0 and b == 0:
         a = 1
     L = N2_of(n, a, b)
-    v = (F(a or 1, n), F(b, n))
-    k = F(kn, kd)
-    scaled = tuple(k * c for c in v)
-    assert primitive_in_lattice(L, scaled) == primitive_in_lattice(L, v)
+    V = (a or 1, b)
+    assert primitive_point(L, tuple(kn * c for c in V)) == \
+        primitive_point(L, tuple(kd * c for c in V))
 
 
 @settings(max_examples=60, deadline=None)
@@ -261,4 +267,8 @@ def test_lattice_matches_hnf_oracle(case, rng):
                       for _ in range(dim))
         assert is_member(L, v) == H.is_member(v), v
         if any(v):
+            den = lcm(*(F(c).denominator for c in v))
+            V = tuple(int(F(c) * den) for c in v)
+            assert primitive_point(L, V) == \
+                tuple(N * c for c in H.primitive(v)), v
             assert primitive_in_lattice(L, v) == H.primitive(v), v

@@ -21,7 +21,7 @@ from clab.quiver import (
     ps_limit,
 )
 from clab.quiver import _limit_feasible
-from clab.surface import build_action, build_N2, minimal_resolution
+from clab.surface import build_action, build_N2, is_small, minimal_resolution
 
 from .oracles import (
     characters_by_annihilator,
@@ -29,6 +29,7 @@ from .oracles import (
     hnf_N2,
     lp_limit_feasible,
     principal_closures,
+    scaled,
     upclosed_masks,
 )
 from .test_surface import COLD_GROUPS
@@ -262,11 +263,13 @@ def _group_id(group):
 
 @pytest.mark.parametrize("group", ORACLE_GROUPS, ids=_group_id)
 def test_cones_equal_fourier_motzkin(group):
+    # the integer cone's pairs are N times the Fourier-Motzkin cone's rays
     A = build_action(*group)
     Q = build_mckay_quiver(A)
     H = hnf_N2(A)
     for c in fixed_candidates(Q):
-        assert c.cone == fm_cone_of_support(c, H), c.arrows
+        fm = fm_cone_of_support(c, H)
+        assert c.cone == (None if fm is None else scaled(fm, A.order)), c.arrows
 
 
 @pytest.mark.parametrize("group", ORACLE_GROUPS + [(8, [(1, 2)])], ids=_group_id)
@@ -379,6 +382,48 @@ def test_moduli_fan_one_eighth_rays_admissible():
     # G-Hilb chamber: theta negative exactly on the trivial character gives
     # the minimal resolution
     assert fan == minimal_resolution(N2)
+
+
+def _subgroups(max_order):
+    """Every nontrivial finite diagonal subgroup of GL(2,C) of order up to
+    max_order, once each, written over n = its exponent.  Such a group is
+    Z/d x Z/n with d | n, so it has two generators mod n, and one if it is
+    cyclic; a non-cyclic one has order at least 2n."""
+    seen = set()
+    out = []
+    for n in range(2, max_order + 1):
+        pairs = [(a, b) for a in range(n) for b in range(n)]
+        gen_sets = [(g,) for g in pairs]
+        if 2 * n <= max_order:
+            gen_sets += itertools.combinations(pairs, 2)
+        for gens in gen_sets:
+            A = build_action(n, gens)
+            if (1 < A.order <= max_order and A.exponent == n
+                    and A not in seen):
+                seen.add(A)
+                out.append(A)
+    return out
+
+
+def test_g_hilb_chamber_gives_minimal_resolution():
+    # theta0 = -(m-1) on the trivial character and 1 on every other one is
+    # generic: a nonempty proper subset sums to its size if it misses the
+    # trivial character, and to -(m-1) plus fewer than m-1 ones if not.  Its
+    # moduli fan is G-Hilb, the minimal resolution, for small G (Ishii 2002;
+    # Kidoh 2001 for cyclic G), and it is for the groups with reflections of
+    # order <= 8 too.  This checks the moduli path against the minimal path
+    # without sampling.
+    groups = _subgroups(8)
+    assert len(groups) == 55
+    assert sum(not is_small(A) for A in groups) == 34
+    for A in groups:
+        Q = build_mckay_quiver(A)
+        m = Q.order
+        theta = make_theta([-(m - 1) if v == Q.trivial_vertex else 1
+                            for v in range(m)])
+        assert is_generic(theta), A
+        N2 = build_N2(A)
+        assert moduli_fan(Q, theta, N2) == minimal_resolution(N2), A
 
 
 def test_fixed_point_count_equals_maximal_cones():

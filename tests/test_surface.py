@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clab.junior import build_junior
-from clab.lattice import lattice_from_generators, pair_determinant, triangle_grid, vec
+from clab.lattice import lattice_from_generators, triangle_grid, vec
 from clab.surface import (
+    Resolution,
+    admissible_ray_sequences,
     boundary_divisor,
     build_action,
     build_N2,
@@ -17,10 +19,10 @@ from clab.surface import (
     make_resolution,
     maximal_resolution,
     minimal_resolution,
-    resolution_from_json,
+    resolution_from_grid,
     sort_rays_by_angle,
 )
-from clab.surface import _maximal_rays
+from clab.surface import _maximal_rays, _minimal_rays
 
 from .oracles import (
     admissible_by_subsets,
@@ -29,7 +31,11 @@ from .oracles import (
     hnf_N3,
     make_resolution_by_fractions,
     maximal_rays_by_primitive_filter,
+    minimal_rays_by_fractions,
+    pair_determinant,
     residues_by_scan,
+    resolution_from_json,
+    scaled,
 )
 
 
@@ -88,6 +94,17 @@ def test_boundary_divisor_reflection():
 def test_boundary_divisor_small_and_trivial():
     assert boundary_divisor(cyclic(8, 1, 3)).is_zero
     assert boundary_divisor(build_action(1, [])).is_zero
+
+
+def test_boundary_divisor_matches_fraction_primitive_points():
+    # m_i = 1 / (the i-th coordinate of the primitive axis point e_i'), with
+    # e_i' by the Fraction solve in the HNF basis
+    for group in CYCLIC_30 + TWO_GENERATORS:
+        A = build_action(*group)
+        H = hnf_N2(A)
+        B = boundary_divisor(A)
+        assert (B.m1, B.m2) == (1 / H.primitive((1, 0))[0],
+                                1 / H.primitive((0, 1))[1]), group
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +201,32 @@ def test_resolution_json_roundtrip():
     assert resolution_from_json(N2, js) == Y
 
 
+def test_resolution_stores_scaled_pairs():
+    N2 = build_N2(cyclic(8, 1, 3))
+    Y = maximal_resolution(N2)
+    assert Y.grid == ((8, 0), (3, 1), (4, 4), (1, 3), (0, 8))
+    assert Y == Resolution(Y.grid, N2)
+    assert Y == resolution_from_grid(N2, Y.grid)
+    assert Y != minimal_resolution(N2)
+    # equal rays on another lattice are another resolution
+    assert Y != Resolution(Y.grid, build_N2(cyclic(8, 1, 5)))
+    assert hash(Y) == hash(Resolution(Y.grid, N2))
+
+
+def test_rational_roundtrip_and_json_match_fraction_rays():
+    # make_resolution(L, Y.rays) == Y, and the JSON read off the pairs is
+    # the JSON of the Fraction rays, for every admissible resolution
+    for group in COLD_GROUPS + TRIANGULATE_GROUPS:
+        A = build_action(*group)
+        N2 = build_N2(A)
+        H = hnf_N2(A)
+        for Y in enumerate_admissible_resolutions(N2):
+            assert make_resolution(N2, Y.rays) == Y, group
+            assert scaled(Y.rays, N2.N) == Y.grid, group
+            assert Y.to_json() == \
+                make_resolution_by_fractions(H, Y.rays).to_json(), group
+
+
 def test_resolution_validation_rejects_bad_sequences():
     N2 = build_N2(cyclic(8, 1, 3))
     with pytest.raises(ValueError):
@@ -208,6 +251,11 @@ TRIANGULATE_GROUPS = [
     (24, [(1, 7)]), (12, [(1, 7), (0, 6)]), (12, [(1, 5), (0, 6)]),
     (30, [(1, 11)]), (18, [(1, 5), (0, 9)]),
 ]
+# every 1/n(1,q) with n <= 30, and the groups with two generators
+CYCLIC_30 = [(n, [(1, q)]) for n in range(1, 31) for q in range(n)]
+TWO_GENERATORS = [(2, [(1, 1), (1, 0)]), (4, [(1, 1), (2, 0)]),
+                  (12, [(1, 7), (0, 6)]), (12, [(1, 5), (0, 6)]),
+                  (18, [(1, 5), (0, 9)])]
 
 
 def test_residues_by_closure_equal_scan():
@@ -219,9 +267,25 @@ def test_residues_by_closure_equal_scan():
 
 
 def test_admissible_by_blowups_equal_subset_enumeration():
+    # the N-scaled sequences, in their order, against the subset search's
+    # rays times N; at most 9 rays are optional for n <= 30
+    for group in CYCLIC_30 + TWO_GENERATORS:
+        N2 = build_N2(build_action(*group))
+        expected = [scaled(Y.rays, N2.N) for Y in admissible_by_subsets(N2)]
+        assert list(admissible_ray_sequences(N2)) == expected, group
     for group in COLD_GROUPS + TRIANGULATE_GROUPS:
         N2 = build_N2(build_action(*group))
         assert enumerate_admissible_resolutions(N2) == admissible_by_subsets(N2), group
+
+
+def test_minimal_rays_match_fraction_hull():
+    # the integer hull walk against a Fraction gift-wrapping walk over the
+    # points of the HNF basis
+    for group in CYCLIC_30 + TWO_GENERATORS:
+        A = build_action(*group)
+        N2 = build_N2(A)
+        assert _minimal_rays(N2) == \
+            scaled(minimal_rays_by_fractions(hnf_N2(A)), N2.N), group
 
 
 def test_maximal_rays_match_primitive_filter():
@@ -229,14 +293,13 @@ def test_maximal_rays_match_primitive_filter():
     # of every point of Delta' (the scan itself is checked against the
     # Fraction scan in test_lattice), for every 1/n(1,q) with n <= 30 and
     # the non-cyclic groups
-    groups = [(n, [(1, q)]) for n in range(1, 31) for q in range(n)]
-    for group in groups + COLD_GROUPS[-5:] + TRIANGULATE_GROUPS:
+    for group in CYCLIC_30 + COLD_GROUPS[-5:] + TRIANGULATE_GROUPS:
         A = build_action(*group)
         N2 = build_N2(A)
         N = N2.N
         pts = [(F(X, N), F(Y, N)) for X, Y in triangle_grid(N2)]
         assert _maximal_rays(N2) == \
-            maximal_rays_by_primitive_filter(hnf_N2(A), pts), group
+            scaled(maximal_rays_by_primitive_filter(hnf_N2(A), pts), N), group
 
 
 def _check_or_message(make, lattice, rays):
@@ -259,27 +322,50 @@ BAD_SEQUENCES = [
 ]
 
 
+def _perturbed(rays, N, positions=None):
+    """The sequence itself, and with the ray at each position (default:
+    every one) dropped, doubled, nudged off the (1/N)-grid or moved to a
+    nearby lattice point."""
+    out = [rays]
+    for i in range(len(rays)) if positions is None else positions:
+        out.append(rays[:i] + rays[i + 1:])
+        out.append(rays[:i] + [tuple(2 * c for c in rays[i])] + rays[i + 1:])
+        nudged = (rays[i][0] + F(1, 2 * N), rays[i][1])
+        out.append(rays[:i] + [nudged] + rays[i + 1:])
+        moved = (rays[i][0] + 1, rays[i][1])
+        out.append(rays[:i] + [moved] + rays[i + 1:])
+    return out
+
+
 def test_make_resolution_matches_fraction_check():
     # the integer check accepts and rejects the same sequences, with the
-    # same message: every admissible resolution, sequences with a ray
-    # dropped, doubled or nudged off the lattice, and the hand-made cases
-    cases = list(BAD_SEQUENCES)
+    # same message: every admissible resolution of a spread of groups,
+    # perturbed at every ray, the minimal and maximal resolutions of every
+    # 1/n(1,q) with n <= 30 and of the groups with two generators, perturbed
+    # at the first, a middle and the last ray, and the hand-made cases
+    cases = [(A, [rays]) for A, rays in BAD_SEQUENCES]
     for group in COLD_GROUPS[::3] + TRIANGULATE_GROUPS:
         A = build_action(*group)
-        N = build_N2(A).denominator_bound()
-        for Y in enumerate_admissible_resolutions(build_N2(A))[:12]:
-            rays = list(Y.rays)
-            cases.append((A, rays))
-            for i in range(len(rays)):
-                cases.append((A, rays[:i] + rays[i + 1:]))
-                cases.append((A, rays[:i] + [tuple(2 * c for c in rays[i])]
-                              + rays[i + 1:]))
-                nudged = (rays[i][0] + F(1, 2 * N), rays[i][1])
-                cases.append((A, rays[:i] + [nudged] + rays[i + 1:]))
-    for A, rays in cases:
-        assert (_check_or_message(make_resolution, build_N2(A), rays)
-                == _check_or_message(make_resolution_by_fractions, hnf_N2(A),
-                                     rays)), rays
+        N2 = build_N2(A)
+        cases.append((A, [seq for Y in enumerate_admissible_resolutions(N2)[:12]
+                          for seq in _perturbed(list(Y.rays), N2.N)]))
+    for group in CYCLIC_30 + TWO_GENERATORS:
+        A = build_action(*group)
+        N2 = build_N2(A)
+        cases.append((A, [seq for Y in (minimal_resolution(N2),
+                                        maximal_resolution(N2))
+                          for seq in _perturbed(list(Y.rays), N2.N,
+                                                (0, len(Y.rays) // 2,
+                                                 len(Y.rays) - 1))]))
+    verdicts = set()
+    for A, sequences in cases:
+        N2, H = build_N2(A), hnf_N2(A)
+        for rays in sequences:
+            got = _check_or_message(make_resolution, N2, rays)
+            assert got == _check_or_message(make_resolution_by_fractions, H,
+                                            rays), rays
+            verdicts.add(type(got))
+    assert verdicts == {tuple, str}  # both accepted and rejected cases
 
 
 @settings(max_examples=150, deadline=None)

@@ -12,10 +12,10 @@ from clab.thetaspace import (
     realize_resolution,
     sample_generic,
     verify_main_theorem,
-    wall_sign_vector,
-    walls,
 )
 from fractions import Fraction as F
+
+from .oracles import wall_sign_vector, walls
 
 
 def cyclic(n, a, b):
