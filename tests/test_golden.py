@@ -1,4 +1,4 @@
-"""The CLI's output on a fixed sweep of 157 requests, against committed
+"""The CLI's output on a fixed sweep of 163 requests, against committed
 hashes.
 
 Each case is one `clab` command line.  A JSON reply is hashed byte for byte
@@ -6,9 +6,10 @@ with its `generated_at` line removed, an SVG or DOT reply whole; a usage
 error is kept as its message.  The hashes in `golden_sweep.json` pin the
 output of every `triangulate` selector, every admissible list, every seeded
 `verify` and `moduli` report, the `group`, `minres` and `maxres` reports of
-every group in the sweep, and the drawings of the maximal resolution and of
-one moduli fan for three groups, so a refactor that changes any of them
-fails here.
+every group in the sweep, `moduli` at explicit thetas (integers, integral
+fractions such as -2/1, proper fractions, a non-generic one), and the
+drawings of the maximal resolution and of one moduli fan for three groups,
+so a refactor that changes any of them fails here.
 
 To re-record after an intended change of output:
 
@@ -35,6 +36,12 @@ SEEDS = ("0", "1", "7")
 # a small cyclic group, a cyclic group with a reflection, two generators
 DRAWN_GROUPS = ("8:1,3", "9:3,1", "4:1,1;2,0")
 DRAWINGS = ("svg", "dot")
+# group, theta entries: integers, integral fractions, proper fractions, a mix,
+# and a theta on a wall (a usage error naming the zero-sum characters)
+THETA_CASES = (("4:1,3", "-7,3,2,2"), ("4:1,3", "-6/2,2/2,1,1/1"),
+               ("3:1,2", "-1/2,1/4,1/4"), ("5:1,2", "-4,1/3,2/3,-2/1,5"),
+               ("4:1,1;2,0", "-5/2,-7/2,11/2,15/2,8,11/2,3,-47/2"),
+               ("4:1,3", "-1,1,3,-3"))
 
 
 def _group_args(group):
@@ -55,6 +62,9 @@ def cases():
             for seed in SEEDS:
                 out[f"{cmd} {g} seed {seed}"] = [*_group_args(g), cmd,
                                                  "--seed", seed]
+    for g, theta in THETA_CASES:
+        out[f"moduli {g} theta {theta}"] = [*_group_args(g), "moduli",
+                                            f"--theta={theta}"]
     for g in TRIANGULATE_GROUPS + VERIFY_GROUPS:
         for cmd in ("group", "minres", "maxres"):
             out[f"{cmd} {g}"] = [*_group_args(g), cmd]
@@ -95,7 +105,7 @@ def sweep():
 def test_sweep_matches_golden_hashes():
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
     got = sweep()
-    assert len(got) == 157
+    assert len(got) == 163
     assert sorted(got) == sorted(expected)
     changed = [label for label in got if got[label] != expected[label]]
     assert changed == []
