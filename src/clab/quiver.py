@@ -274,18 +274,28 @@ def _constellation_from_cells(Q, cells):
 
 @dataclass(frozen=True)
 class Theta:
-    """A stability parameter: one rational per character, summing to zero."""
+    """A stability parameter: one rational per character, summing to zero.
+
+    Each value is kept as an `int` when it is integral and as a reduced
+    `Fraction` otherwise, so the integer thetas the sampler draws are never
+    converted.  `Fraction(k) == k` and the two hash alike, so equality,
+    hashing and `to_json` do not depend on which form an entry came in."""
 
     values: tuple
 
     def __post_init__(self):
-        vals = tuple(Fraction(v) for v in self.values)
+        vals = tuple(v if type(v) is int else _rational(v) for v in self.values)
         object.__setattr__(self, "values", vals)
         if sum(vals) != 0:
             raise ValueError("theta must pair to zero with the regular representation")
 
     def to_json(self):
         return [rat_str(v) for v in self.values]
+
+
+def _rational(v):
+    q = Fraction(v)
+    return q.numerator if q.denominator == 1 else q
 
 
 def make_theta(values) -> Theta:
@@ -322,16 +332,23 @@ def is_generic(theta: Theta) -> bool:
     return 0 not in _subset_sums(theta)[1:-1]
 
 
+def _stable(Q: McKayQuiver, table):
+    """The candidates of Q that are stable at the theta with subset-sum
+    table `table`: theta is positive on each of their stability masks, i.e.
+    none of them is a mask where the table is <= 0."""
+    bad = {mask for mask, t in enumerate(table) if t <= 0}
+    return tuple(c for c in fixed_candidates(Q)
+                 if bad.isdisjoint(c.stability_masks))
+
+
+# bounded; the moduli fan does not go through this cache, so the thetas
+# `verify` samples do not fill it
 @lru_cache(maxsize=4096)
 def enumerate_fixed_stable(Q: McKayQuiver, theta: Theta):
     """All torus-fixed theta-stable supports."""
     if len(theta.values) != Q.order:
         raise ValueError("theta has the wrong number of characters")
-    table = _subset_sums(theta)
-    return tuple(
-        c for c in fixed_candidates(Q)
-        if all(table[mask] > 0 for mask in c.stability_masks)
-    )
+    return _stable(Q, _subset_sums(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +394,12 @@ def moduli_fan_cones(Q: McKayQuiver, theta: Theta, N2: Lattice):
     in which the cones of the candidates keep their rays."""
     if N2 != Q.N2:
         raise ValueError("N2 is not the lattice of the quiver's action")
-    if not is_generic(theta):
+    if len(theta.values) != Q.order:
+        raise ValueError("theta has the wrong number of characters")
+    table = _subset_sums(theta)  # one table serves both tests
+    if 0 in table[1:-1]:
         raise NonGenericThetaError("theta is on a wall")
-    cones = [(c, *c.cone) for c in enumerate_fixed_stable(Q, theta)
-             if c.cone is not None]
+    cones = [(c, *c.cone) for c in _stable(Q, table) if c.cone is not None]
     if not cones:
         raise ModuliFanError("no full-dimensional stable cones")
     cones.sort(key=functools.cmp_to_key(

@@ -83,16 +83,20 @@ def realize_resolution(A: AbelianAction, Y: Resolution, budget: int,
                        seed: int = 0) -> RealizeOutcome:
     """Search for a certified-generic theta with moduli_fan(theta) = Y by
     seeded sampling.  Y must be dominated by the maximal resolution."""
+    return _realize(build_mckay_quiver(A), build_N2(A), Y, budget, seed)
+
+
+def _realize(Q, N2, Y: Resolution, budget: int, seed: int) -> RealizeOutcome:
+    """`realize_resolution` on the quiver and lattice of the action, which
+    `verify_main_theorem` builds once for all its resolutions."""
     if budget < 1:
         raise ValueError("budget must be at least 1")
     if not is_dominated_by_max(Y):
         raise ValueError("resolution is not admissible (not dominated by the "
                          "maximal resolution)")
-    Q = build_mckay_quiver(A)
-    N2 = build_N2(A)
     fans = set()
     for k in range(budget):
-        theta = sample_generic(A, derive_seed(seed, k))
+        theta = sample_generic(Q.action, derive_seed(seed, k))
         fan = moduli_fan(Q, theta, N2)
         fans.add(fan.grid)
         if fan == Y:
@@ -166,7 +170,7 @@ def verify_main_theorem(A: AbelianAction, samples: int, budget: int,
     outcomes = []
     for j, Y in enumerate(enumerate_admissible_resolutions(N2)):
         outcomes.append(
-            realize_resolution(A, Y, budget, seed=derive_seed(seed, 10 ** 6 + j))
+            _realize(Q, N2, Y, budget, derive_seed(seed, 10 ** 6 + j))
         )
     return RealizationReport(
         action=A,

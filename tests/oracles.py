@@ -9,13 +9,15 @@ gauge-potential system, and the one-parameter-subgroup limits by the exact
 simplex.  The lattice residues, the admissible resolutions, the stability
 masks and the McKay vertices (as cosets of the annihilator of the element
 pairing) are recomputed by the exhaustive searches the library replaced
-with direct constructions.  The simplex itself, the resolution check, the
-primitive points, lattice-basis determinants and lifts to the junior
-simplex, the triangle scan (here of any rational triangle), the maximal
-rays (here by a primitive-point test per point), the minimal rays (here by
-a gift-wrapping walk) and the junior-plane predicates (barycentric
-coordinates, triangle membership, on-segment, areas) are checked against
-the Fraction versions the library replaced with integer ones, whose
+with direct constructions, and the stable supports of a theta by the
+per-candidate test, on theta summed over each mask, that the library
+replaced with one set-disjointness test per candidate.  The simplex itself,
+the resolution check, the primitive points, lattice-basis determinants and
+lifts to the junior simplex, the triangle scan (here of any rational
+triangle), the maximal rays (here by a primitive-point test per point), the
+minimal rays (here by a gift-wrapping walk) and the junior-plane predicates
+(barycentric coordinates, triangle membership, on-segment, areas) are
+checked against the Fraction versions the library replaced with integer ones, whose
 N-scaled pairs the tests compare with `scaled`; a finished triangulation is
 checked by an area sum and a separating-axis test on its Fraction points.
 The segment walk, the star subdivision, the walls of the stability space
@@ -35,7 +37,7 @@ from math import ceil, floor, gcd, lcm
 
 from clab.lattice import Lattice, cross2, is_member
 from clab.linprog import Feasibility, solve_feasibility
-from clab.quiver import ARROW_STEP, Theta, build_mckay_quiver
+from clab.quiver import ARROW_STEP, Theta, build_mckay_quiver, fixed_candidates
 from clab.surface import (
     make_resolution,
     maximal_resolution,
@@ -530,6 +532,22 @@ def upclosed_masks(Q, arrows):
         s for s in range(1, full)
         if all(succ[v] & ~s == 0 for v in range(m) if s & (1 << v))
     )
+
+
+def theta_of_masks(theta: Theta):
+    """theta(S) for every vertex subset S, by bitmask, each summed directly
+    over the values of S."""
+    vals = theta.values
+    return [sum(v for i, v in enumerate(vals) if mask >> i & 1)
+            for mask in range(1 << len(vals))]
+
+
+def stable_by_masks(Q, theta: Theta):
+    """The theta-stable candidates of Q: theta is positive on every
+    stability mask of the support."""
+    table = theta_of_masks(theta)
+    return tuple(c for c in fixed_candidates(Q)
+                 if all(table[mask] > 0 for mask in c.stability_masks))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -30,6 +31,8 @@ from .oracles import (
     lp_limit_feasible,
     principal_closures,
     scaled,
+    stable_by_masks,
+    theta_of_masks,
     upclosed_masks,
 )
 from .test_surface import COLD_GROUPS
@@ -113,6 +116,21 @@ def test_is_generic_examples():
 def test_theta_zero_sum_enforced():
     with pytest.raises(ValueError):
         make_theta([1, 1, 1])
+    with pytest.raises(ValueError):
+        make_theta([F(1, 2), F(4, 2), -2])
+
+
+def test_theta_values_canonical():
+    # an integral entry is stored as its int, any other as a reduced Fraction
+    a, b = make_theta([F(4, 2), -2]), make_theta([2, -2])
+    assert a == b and hash(a) == hash(b)
+    assert [type(v) for v in a.values] == [int, int]
+    mixed = make_theta(["2/4", F(-3, 1), "5/2"])
+    assert mixed.values == (F(1, 2), -3, F(5, 2))
+    assert [type(v) for v in mixed.values] == [F, int, F]
+    assert mixed == make_theta([F(1, 2), F(-3), F(5, 2)])
+    assert mixed.to_json() == ["1/2", "-3", "5/2"]
+    assert make_theta([F(-4, 2), 2]).to_json() == ["-2", "2"]
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +300,51 @@ def test_stability_masks_equal_closures(group):
         # the principal up-closures, once tested first, add no condition
         principal = {p for p in principal_closures(Q, c.arrows) if p != full}
         assert principal <= set(masks), c.arrows
+
+
+def _oracle_thetas(m, rng):
+    """Fifty thetas on m characters: integers as the sampler draws them,
+    rationals with denominators up to 6, and small integers, where some
+    subsets (often stability masks) sum to exactly zero."""
+    out = []
+    for k in range(50):
+        if k % 3 == 0:
+            vals = [rng.randint(-20 * m, 20 * m) for _ in range(m - 1)]
+        elif k % 3 == 1:
+            vals = [F(rng.randint(-60 * m, 60 * m), rng.choice((1, 2, 3, 6)))
+                    for _ in range(m - 1)]
+        else:
+            vals = [rng.randint(-2, 2) for _ in range(m - 1)]
+        out.append(make_theta(vals + [-sum(vals)]))
+    return out
+
+
+@pytest.mark.parametrize("group", ORACLE_GROUPS + [(8, [(1, 2)])], ids=_group_id)
+def test_stable_supports_match_mask_oracle(group):
+    # the set-disjoint test on the scaled table against theta summed over
+    # each stability mask; a mask summing to 0 makes a support unstable
+    A = build_action(*group)
+    Q = build_mckay_quiver(A)
+    N2 = build_N2(A)
+    rng = random.Random(f"stable {_group_id(group)}")
+    generic = on_zero_mask = 0
+    for theta in _oracle_thetas(A.order, rng):
+        expected = stable_by_masks(Q, theta)
+        assert enumerate_fixed_stable(Q, theta) == expected, theta
+        table = theta_of_masks(theta)
+        on_zero_mask += sum(
+            min(table[mask] for mask in c.stability_masks) == 0
+            for c in fixed_candidates(Q) if c.stability_masks)
+        if is_generic(theta):
+            generic += 1
+            cones = moduli_fan_cones(Q, theta, N2)
+            assert ({c.arrows for c, _, _ in cones}
+                    == {c.arrows for c in expected if c.cone is not None}), theta
+        else:
+            with pytest.raises(NonGenericThetaError):
+                moduli_fan_cones(Q, theta, N2)
+    assert 0 < generic < 50
+    assert on_zero_mask > 0
 
 
 # u on a grid with denominators 1 to 4: at fractional u an off-support

@@ -1,7 +1,17 @@
+import contextlib
+import io
+
 import pytest
 
 from clab import thetaspace
-from clab.quiver import ModuliFanError, build_mckay_quiver, is_generic, moduli_fan
+from clab.cli import main
+from clab.quiver import (
+    ModuliFanError,
+    build_mckay_quiver,
+    enumerate_fixed_stable,
+    is_generic,
+    moduli_fan,
+)
 from clab.surface import (
     build_action,
     build_N2,
@@ -42,6 +52,25 @@ def test_sample_generic_deterministic_and_certified():
     assert is_generic(t1)
     assert sum(t1.values) == 0
     assert sample_generic(A, seed=8) != t1
+
+
+def test_sampled_theta_values_are_int():
+    # the sampler draws integers, and theta keeps them as they are
+    for group in ((8, [(1, 3)]), (4, [(1, 1), (2, 0)]), (1, [])):
+        A = build_action(*group)
+        for seed in range(10):
+            assert all(type(v) is int for v in sample_generic(A, seed).values)
+
+
+def test_verify_leaves_stable_cache_unchanged():
+    # the moduli fans of sampled thetas do not go through the cache of
+    # enumerate_fixed_stable, so a long-lived process does not fill it
+    before = enumerate_fixed_stable.cache_info()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["--n", "7", "--gens", "1,3", "verify", "--samples", "20",
+                     "--seed", "3", "--format", "json"])
+    assert code == 0
+    assert enumerate_fixed_stable.cache_info() == before
 
 
 def test_sample_generic_trivial_group():
