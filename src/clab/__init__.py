@@ -38,6 +38,7 @@ from .junior import (
     build_containing_triangulation,
     build_junior,
     is_basic,
+    make_triangulation,
     nef_cone,
     regularity_certificate,
 )
@@ -70,8 +71,9 @@ __all__ = [
     "build_N2", "enumerate_admissible_resolutions", "enumerate_fixed_stable",
     "is_basic", "is_dominated_by_max", "is_generic", "is_member", "is_small",
     "lattice_from_generators", "make_resolution", "make_theta",
-    "maximal_resolution", "minimal_resolution", "moduli_fan", "nef_cone",
-    "primitive_point", "ps_limit", "realize_resolution",
+    "make_triangulation", "maximal_resolution", "minimal_resolution",
+    "moduli_fan", "nef_cone", "primitive_point", "ps_limit",
+    "realize_resolution",
     "regularity_certificate", "resolution_from_grid", "sample_generic",
     "triangle_grid", "verify_main_theorem",
 ]

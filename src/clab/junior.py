@@ -171,9 +171,11 @@ class Triangulation:
         affine extension of h from the triangle (a, b, c) on the other side:
         its entries are the barycentric coordinates of d in abc, scaled by
         the area |cross(a, b, c)| (N on a basic triangulation), which leaves
-        every sign and every feasibility verdict as it is.  The regularity,
-        nef-cone and amp-restriction computations all read these rows, so
-        they are built once per triangulation."""
+        every sign and every feasibility verdict as it is.  A row sums to 0,
+        as the barycentric coordinates sum to 1, so adding a constant to
+        every height changes no row.  The regularity, nef-cone and
+        amp-restriction computations all read these rows, so they are built
+        once per triangulation."""
         rows = []
         g = self.grid
         for edge, tris in sorted(self.edge_triangles().items()):
@@ -256,9 +258,6 @@ class PLSupportFunction:
     triangulation: Triangulation = field(compare=False)
     heights: tuple
 
-    def height(self, point):
-        return self.heights[self.triangulation.points.index(tuple(point))]
-
 
 @dataclass(frozen=True)
 class RegularityRefusal:
@@ -272,7 +271,8 @@ class RegularityRefusal:
 def regularity_certificate(T: Triangulation):
     """Rational heights strictly convex across every interior wall, or a
     refusal witness.  Strictness is encoded by the scale-invariant system
-    row.h >= 1."""
+    row.h >= 1.  The wall rows sum to 0, so the system has a solution iff
+    it has one with h >= 0, the one the solver looks for."""
     rows = T.wall_rows
     if not rows:
         return PLSupportFunction(T, tuple([Fraction(0)] * len(T.grid)))
@@ -337,37 +337,39 @@ def amp_restriction_surjective(T: Triangulation, A: AbelianAction) -> bool:
     """Whether Nef(U_Sigma) -> Nef(W) is surjective, decided by one weak-wall
     LP per extreme ray of Nef(W).  W-heights are read off along the e2-e3
     edge of the junior simplex."""
-    if E1 not in T.points:
+    N = T.lattice.N
+    index = {p: i for i, p in enumerate(T.grid)}
+    if (N, 0) not in index:
         raise ValueError("e1 is not a vertex of the triangulation")
     W = slice_resolution(A)
-    m = len(W.rays) - 1
-    edge_pts = [(Fraction(0), r[0], r[1]) for r in W.rays]
-    for q in edge_pts:
-        if q not in T.points:
-            raise ValueError("triangulation is missing a slice lattice point")
-    actual_edge = [p for p in T.points if p[0] == 0]
-    if sorted(actual_edge) != sorted(edge_pts):
+    m = len(W.grid) - 1
+    # the slice ray (a, b) is the junior point (0, a, b), with grid pair
+    # (0, N a); W's pairs are scaled by the index of its lattice, |Z|
+    scale = N // W.lattice.N
+    edge = [index.get((0, X * scale)) for X, _ in W.grid]
+    if None in edge:
+        raise ValueError("triangulation is missing a slice lattice point")
+    if sum(1 for X, _ in T.grid if X == 0) != len(edge):
         raise ValueError("triangulation subdivides the e2-e3 edge unexpectedly")
     if m < 2:
         return True
     # rays are equally spaced on the segment, so Nef(W) is simplicial with
-    # one tent-shaped extreme ray per exceptional curve
+    # one tent-shaped extreme ray per exceptional curve, and h restricted to
+    # the slice is the tent modulo affine functions iff their second
+    # differences agree: the tent's are m at its apex k and 0 elsewhere
     if len({(V[0] - U[0], V[1] - U[1])
             for U, V in itertools.pairwise(W.grid)}) != 1:
         raise TriangulationError("the slice rays are not equally spaced")
-    npts = len(T.points)
-    nvars = npts + 2  # heights plus a linear gauge (alpha, beta) on the slice
-    wall_ges = [(list(r) + [0, 0], 0) for _, r in T.wall_rows]
+    second_diffs = []
+    for j in range(1, m):
+        row = [0] * len(T.grid)
+        row[edge[j - 1]], row[edge[j]], row[edge[j + 1]] = 1, -2, 1
+        second_diffs.append(row)
+    wall_ges = [(r, 0) for _, r in T.wall_rows]
     for k in range(1, m):
-        tent = [-min(j * (m - k), k * (m - j)) for j in range(m + 1)]
-        eqs = []
-        for j, q in enumerate(edge_pts):
-            row = [0] * nvars
-            row[T.points.index(q)] = 1
-            row[npts] = -W.rays[j][0]
-            row[npts + 1] = -W.rays[j][1]
-            eqs.append((row, tent[j]))
-        if not solve_feasibility(nvars, eqs, wall_ges).feasible:
+        eqs = [(row, m if j == k else 0)
+               for j, row in enumerate(second_diffs, start=1)]
+        if not solve_feasibility(len(T.grid), eqs, wall_ges).feasible:
             return False
     return True
 

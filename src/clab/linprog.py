@@ -1,13 +1,14 @@
 """Exact linear programming over the rationals.
 
-Feasibility of mixed equality / inequality systems via a phase-1 simplex
-with Bland's rule: returns an exact point or Farkas multipliers.  The
-tableau is integer-preserving (fraction-free; Edmonds 1967, Bareiss 1968):
-each row is kept as a primitive integer vector, a positive multiple of its
-rational row, so no Fraction is built until the answer is read off.  A pivot
-updates only the rows with a nonzero entry in the entering column, and only
-on the pivot row's nonzero columns.  The junior-simplex pipeline uses it for
-regularity certificates and the ample-cone restriction.
+Feasibility of mixed equality / inequality systems over x >= 0 via a
+phase-1 simplex with Bland's rule: returns an exact point or Farkas
+multipliers.  The tableau is integer-preserving (fraction-free; Edmonds
+1967, Bareiss 1968): each row is kept as a primitive integer vector, a
+positive multiple of its rational row, so no Fraction is built until the
+answer is read off.  A pivot updates only the rows with a nonzero entry in
+the entering column, and only on the pivot row's nonzero columns.  The
+junior-simplex pipeline uses it for regularity certificates and the
+ample-cone restriction.
 """
 
 from __future__ import annotations
@@ -49,12 +50,12 @@ def _eliminate(row, f, p, pivot_nz):
 
 
 def solve_feasibility(n, eqs, ges) -> Feasibility:
-    """Decide whether some x in Q^n satisfies a.x = b for (a, b) in `eqs`
-    and a.x >= b for (a, b) in `ges` (x unrestricted in sign).  The
-    coefficients are ints or Fractions.
+    """Decide whether some x >= 0 in Q^n satisfies a.x = b for (a, b) in
+    `eqs` and a.x >= b for (a, b) in `ges`.  The coefficients are ints or
+    Fractions.
 
     On failure returns Farkas multipliers y, free on equality rows and >= 0 on
-    inequality rows, with sum y_i a_i = 0 and sum y_i b_i > 0.
+    inequality rows, with sum y_i a_i <= 0 componentwise and sum y_i b_i > 0.
 
     The tableau is kept on integers, with one positive scale per row: a
     stored row is its rational row times some positive factor, reduced by the
@@ -65,20 +66,19 @@ def solve_feasibility(n, eqs, ges) -> Feasibility:
     objective row carries its own scale as an extra last entry, since the
     multipliers need its values, not only its signs.
 
-    x = u - v, but the columns of v are not stored: every row operation keeps
-    column v_j equal to minus column u_j, so Bland's rule reads the reduced
-    cost of v_j as -obj[j], and a v_j that enters pivots on a negated local
-    copy of the pivot row.  The stored row keeps its positive scale.
+    A system whose every row sums to 0 loses nothing to x >= 0: adding one
+    constant to every variable changes no row's value, so any solution
+    shifts to a nonnegative one.  The junior systems are of this kind, since
+    they ask about heights modulo affine functions.  On such a system a
+    Farkas vector also has sum y_i a_i = 0 exactly, since its components are
+    <= 0 and sum to 0.
     """
     rows = [(a, b, True) for a, b in eqs] + [(a, b, False) for a, b in ges]
     m = len(rows)
     if m == 0:
         return Feasibility(True, tuple([ZERO] * n))
-    nge = len(ges)
-    # stored columns: u_0..u_{n-1}, slacks, artificials, then the rhs B.  The
-    # logical columns (Bland's order, `basis`) put v_0..v_{n-1} after u, so
-    # stored column k >= n is logical column n + k
-    art0 = n + nge
+    # columns: x_0..x_{n-1}, slacks, artificials, then the rhs B
+    art0 = n + len(ges)
     B = art0 + m
     tab = []
     sigma = []
@@ -98,7 +98,7 @@ def solve_feasibility(n, eqs, ges) -> Feasibility:
         sigma.append(s)
         row[art0 + i] = K
         tab.append(_primitive(row))
-    basis = [n + art0 + i for i in range(m)]
+    basis = [art0 + i for i in range(m)]
     # phase-1 objective: minimize sum of artificials; reduced-cost row,
     # scaled by S = lcm of the row scales, then S itself
     S = lcm(*(r[art0 + i] for i, r in enumerate(tab)))
@@ -113,20 +113,14 @@ def solve_feasibility(n, eqs, ges) -> Feasibility:
     obj = _primitive(obj)
 
     while True:
-        # Bland: smallest logical index with a negative reduced cost
-        enter = next((j for j in range(n) if obj[j] < 0), -1)
-        if enter < 0:
-            enter = next((n + j for j in range(n) if obj[j] > 0), -1)
-        if enter < 0:
-            enter = next((n + k for k in range(n, B) if obj[k] < 0), -1)
+        # Bland: smallest index with a negative reduced cost
+        enter = next((j for j in range(B) if obj[j] < 0), -1)
         if enter < 0:
             break
-        mirrored = n <= enter < 2 * n
-        col = enter - n if enter >= n else enter
         # ratio test rhs_i / a_i[enter], compared by cross-multiplying
         leave = -1
         for i, r in enumerate(tab):
-            c = -r[col] if mirrored else r[col]
+            c = r[enter]
             if c > 0:
                 if leave < 0:
                     leave, c_leave = i, c
@@ -139,43 +133,23 @@ def solve_feasibility(n, eqs, ges) -> Feasibility:
             # phase-1 objective is bounded below by 0, so this cannot happen
             raise ArithmeticError("unbounded phase-1 problem")
         prow = tab[leave]
-        if mirrored:
-            prow = [-c for c in prow]
-        p = prow[col]
+        p = prow[enter]
         pivot_nz = [(k, d) for k, d in enumerate(prow) if d]
         for i, r in enumerate(tab):
-            if i != leave and r[col]:
-                tab[i] = _eliminate(r, r[col], p, pivot_nz)
-        if obj[col]:
-            obj = _eliminate(obj, obj[col], p, pivot_nz)
+            if i != leave and r[enter]:
+                tab[i] = _eliminate(r, r[enter], p, pivot_nz)
+        if obj[enter]:
+            obj = _eliminate(obj, obj[enter], p, pivot_nz)
         basis[leave] = enter
 
     if obj[B] == 0:
-        # a basic u_j or v_j row reads rhs / (its entry in column u_j) for x_j
+        # a basic x_j row reads rhs / (its entry in column j) for x_j
         x = [ZERO] * n
-        for r, bv in zip(tab, basis):
-            if bv < 2 * n:
-                j = bv - n if bv >= n else bv
-                x[j] += Fraction(r[B], r[j])
+        for r, j in zip(tab, basis):
+            if j < n:
+                x[j] = Fraction(r[B], r[j])
         return Feasibility(True, tuple(x))
     # Farkas: pi_i = 1 - reduced cost of artificial i; y_i = sigma_i * pi_i
     S = obj[-1]
     y = tuple(sigma[i] * Fraction(S - obj[art0 + i], S) for i in range(m))
     return Feasibility(False, farkas=y)
-
-
-def check_farkas(n, eqs, ges, y) -> bool:
-    """Verify a Farkas certificate mechanically."""
-    rows = list(eqs) + list(ges)
-    if len(y) != len(rows):
-        return False
-    for i in range(len(eqs), len(rows)):
-        if y[i] < 0:
-            return False
-    comb = [ZERO] * n
-    rhs = ZERO
-    for yi, (a, b) in zip(y, rows):
-        for j in range(n):
-            comb[j] += yi * Fraction(a[j])
-        rhs += yi * Fraction(b)
-    return all(c == 0 for c in comb) and rhs > 0

@@ -369,7 +369,10 @@ def _limit_feasible(c: FixedConstellation, u) -> bool:
 
 def ps_limit(Q: McKayQuiver, theta: Theta, u, N2: Lattice) -> FixedConstellation:
     """The limit constellation along the one-parameter subgroup u: the unique
-    stable support whose gauge potentials are feasible at u."""
+    stable support whose gauge potentials are feasible at u.  N2 must be
+    the lattice of Q's action, in which u is tested."""
+    if N2 != Q.N2:
+        raise ValueError("N2 is not the lattice of the quiver's action")
     u = tuple(Fraction(x) for x in u)
     if u[0] <= 0 or u[1] <= 0:
         raise ValueError("u must lie in the open quadrant")

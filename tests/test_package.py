@@ -48,3 +48,31 @@ def test_no_unbounded_cache():
         and any(_unbounded_cache(d) for d in node.decorator_list)
     ]
     assert found == []
+
+
+def _reads(tree):
+    """The names a module reads, apart from a top-level function's reads of
+    its own name."""
+    out = set()
+    for top in tree.body:
+        own = getattr(top, "name", None)
+        out.update(n for n in map(_name, ast.walk(top)) if n and n != own)
+    return out
+
+
+def test_public_functions_are_called_or_exported():
+    # a public function that nothing in the package calls and the package
+    # does not export has no caller but the tests: it belongs in
+    # tests/oracles.py, or nowhere
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    read = set().union(*map(_reads, trees.values()))
+    found = [
+        f"{name}:{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and node.name not in read and node.name not in clab.__all__
+    ]
+    assert found == []

@@ -411,6 +411,21 @@ def test_ps_limit_validates_inputs():
         ps_limit(Q, make_theta([-2, 1, 1]), (-1, 1), N2)
 
 
+def test_ps_limit_rejects_another_groups_lattice():
+    # u = (1/7, 3/7) lies in the N2 of 1/7(1,3) but not in that of
+    # 1/5(1,2): with the wrong lattice, u would be tested in the wrong one
+    A = cyclic(5, 1, 2)
+    Q = build_mckay_quiver(A)
+    other = build_N2(cyclic(7, 1, 3))
+    theta = make_theta([-4, 1, 1, 1, 1])
+    for call in (lambda: ps_limit(Q, theta, (F(1, 7), F(3, 7)), other),
+                 lambda: moduli_fan_cones(Q, theta, other)):
+        with pytest.raises(ValueError, match="lattice of the quiver"):
+            call()
+    # the group's own lattice is accepted
+    ps_limit(Q, theta, (1, 1), build_N2(A))
+
+
 # ---------------------------------------------------------------------------
 # moduli fan
 
