@@ -8,11 +8,13 @@ config reproduces the same JSON up to the generated_at timestamp.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from math import gcd
 
 from . import draw
 from .junior import (
@@ -24,7 +26,7 @@ from .junior import (
     is_basic,
     regularity_certificate,
 )
-from .lattice import rat_str
+from .lattice import cross2, rat_str
 from .quiver import (
     NonGenericThetaError,
     build_mckay_quiver,
@@ -233,13 +235,23 @@ def _drawing(cfg, Y):
     return None
 
 
+def _order(n, gens):
+    """|G| without building G: G is L / nZ^2 for L spanned by gens, (n, 0)
+    and (0, n), and [Z^2 : L] is the gcd of the 2x2 minors of those rows."""
+    rows = [*gens, (n, 0), (0, n)]
+    d = gcd(*(cross2(r, s) for r, s in itertools.combinations(rows, 2)))
+    return n * n // d
+
+
 def run(cfg: RunConfig):
     """Execute a config; returns (exit_code, output_text)."""
+    # build_action refuses n < 1 itself
+    if cfg.command in ("moduli", "verify") and cfg.n >= 1:
+        order = _order(cfg.n, cfg.gens)
+        if order > MAX_MODULI_ORDER:
+            raise UsageError(f"{cfg.command} supports groups of order at most "
+                             f"{MAX_MODULI_ORDER}; this one has order {order}")
     A = build_action(cfg.n, cfg.gens)
-    N2 = build_N2(A)
-    if cfg.command in ("moduli", "verify") and A.order > MAX_MODULI_ORDER:
-        raise UsageError(f"{cfg.command} supports groups of order at most "
-                         f"{MAX_MODULI_ORDER}; this one has order {A.order}")
 
     if cfg.command == "group":
         facts = _group_facts(A)
@@ -252,6 +264,7 @@ def run(cfg: RunConfig):
         return 0, _emit(cfg, facts)
 
     if cfg.command in ("minres", "maxres"):
+        N2 = build_N2(A)
         Y = minimal_resolution(N2) if cfg.command == "minres" else maximal_resolution(N2)
         payload = _group_facts(A)
         payload["resolution"] = Y.to_json()
@@ -259,7 +272,7 @@ def run(cfg: RunConfig):
         return 0, _emit(cfg, payload, drawing=_drawing(cfg, Y))
 
     if cfg.command == "resolutions":
-        res = enumerate_admissible_resolutions(N2)
+        res = enumerate_admissible_resolutions(build_N2(A))
         payload = _group_facts(A)
         payload["count"] = len(res)
         payload["resolutions"] = [Y.to_json() for Y in res]
@@ -271,7 +284,7 @@ def run(cfg: RunConfig):
         return 0, _emit(cfg, payload)
 
     if cfg.command == "triangulate":
-        Y = _select_resolution(cfg, N2)
+        Y = _select_resolution(cfg, build_N2(A))
         J = build_junior(A)
         try:
             T = build_containing_triangulation(J, Y)
@@ -286,7 +299,7 @@ def run(cfg: RunConfig):
             "triangles": len(T.triangles),
             "basic": is_basic(T),
             "regular": regular,
-            "amp_restriction_surjective": amp_restriction_surjective(T, A),
+            "amp_restriction_surjective": amp_restriction_surjective(T),
             "svg": draw.svg_triangulation(T),
             "dot": draw.dot_triangulation(T),
         }
@@ -311,9 +324,9 @@ def run(cfg: RunConfig):
                     f"theta is not generic: characters {list(witness)} sum to zero")
         else:
             theta = sample_generic(A, cfg.seed)
-        fan = moduli_fan(Q, theta, N2)
+        fan = moduli_fan(Q, theta)
         fixed = enumerate_fixed_stable(Q, theta)
-        contained = set(fan.grid) <= set(maximal_resolution(N2).grid)
+        contained = set(fan.grid) <= set(maximal_resolution(Q.N2).grid)
         payload = {
             "action": A.to_json(),
             "theta": theta.to_json(),

@@ -313,18 +313,15 @@ def nef_cone(T: Triangulation) -> NefCone:
     return NefCone(T, T.wall_rows)
 
 
-def stabilizer_x_axis(A: AbelianAction):
-    """Z = {g : a_g = 0 mod n}, the stabilizer of (1,0) in C^2 c C^3."""
-    return tuple((a, b) for a, b in A.elements if a % A.n == 0)
-
-
-def slice_resolution(A: AbelianAction) -> Resolution:
+def slice_resolution(N3: Lattice) -> Resolution:
     """The minimal resolution W of C^2/Z for the transverse slice along the
-    e2-e3 edge; Z acts on the slice with SL(2) weights (b, -b)."""
-    n = A.n
-    Z = stabilizer_x_axis(A)
+    e2-e3 edge.  Z, the stabilizer of (1,0), is the residues of N3 with
+    X = 0: g = (a, b) has X = N a / n mod N, which is 0 iff a is 0 mod n.
+    Z acts on the slice with SL(2) weights (Y, -Y) / N."""
+    N = N3.N
     LW = lattice_from_generators(
-        2, [(Fraction(b, n), Fraction((-a - b) % n, n)) for a, b in Z]
+        2, [(Fraction(r[1], N), Fraction(r[2], N)) for r in N3.residues
+            if r[0] == 0]
     )
     W = minimal_resolution(LW)
     # SL(2) slice: all rays are crepant, so they sit on the sum-one segment
@@ -333,15 +330,16 @@ def slice_resolution(A: AbelianAction) -> Resolution:
     return W
 
 
-def amp_restriction_surjective(T: Triangulation, A: AbelianAction) -> bool:
+def amp_restriction_surjective(T: Triangulation) -> bool:
     """Whether Nef(U_Sigma) -> Nef(W) is surjective, decided by one weak-wall
-    LP per extreme ray of Nef(W).  W-heights are read off along the e2-e3
-    edge of the junior simplex."""
+    LP per extreme ray of Nef(W), with W the slice resolution of
+    `T.lattice`.  W-heights are read off along the e2-e3 edge of the junior
+    simplex."""
     N = T.lattice.N
     index = {p: i for i, p in enumerate(T.grid)}
     if (N, 0) not in index:
         raise ValueError("e1 is not a vertex of the triangulation")
-    W = slice_resolution(A)
+    W = slice_resolution(T.lattice)
     m = len(W.grid) - 1
     # the slice ray (a, b) is the junior point (0, a, b), with grid pair
     # (0, N a); W's pairs are scaled by the index of its lattice, |Z|

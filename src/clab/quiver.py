@@ -367,16 +367,14 @@ def _limit_feasible(c: FixedConstellation, u) -> bool:
     return all(u[0] * d[0] + u[1] * d[1] >= 1 for d in c.normals())
 
 
-def ps_limit(Q: McKayQuiver, theta: Theta, u, N2: Lattice) -> FixedConstellation:
+def ps_limit(Q: McKayQuiver, theta: Theta, u) -> FixedConstellation:
     """The limit constellation along the one-parameter subgroup u: the unique
-    stable support whose gauge potentials are feasible at u.  N2 must be
-    the lattice of Q's action, in which u is tested."""
-    if N2 != Q.N2:
-        raise ValueError("N2 is not the lattice of the quiver's action")
+    stable support whose gauge potentials are feasible at u.  u must be a
+    point of the open quadrant in `Q.N2`, the lattice of Q's action."""
     u = tuple(Fraction(x) for x in u)
     if u[0] <= 0 or u[1] <= 0:
         raise ValueError("u must lie in the open quadrant")
-    if not is_member(N2, u):
+    if not is_member(Q.N2, u):
         raise ValueError("u must be a lattice point of N2")
     if not is_generic(theta):
         raise NonGenericThetaError("theta is on a wall")
@@ -390,13 +388,10 @@ def ps_limit(Q: McKayQuiver, theta: Theta, u, N2: Lattice) -> FixedConstellation
     return feas[0]
 
 
-def moduli_fan_cones(Q: McKayQuiver, theta: Theta, N2: Lattice):
+def moduli_fan_cones(Q: McKayQuiver, theta: Theta):
     """The full-dimensional cones C_A of the stable supports, angle ordered,
-    with their bounding primitive rays as N-scaled integer pairs; raises if
-    they fail to tile the quadrant.  N2 must be the lattice of Q's action,
-    in which the cones of the candidates keep their rays."""
-    if N2 != Q.N2:
-        raise ValueError("N2 is not the lattice of the quiver's action")
+    with their bounding primitive rays in `Q.N2` as N-scaled integer pairs;
+    raises if they fail to tile the quadrant."""
     if len(theta.values) != Q.order:
         raise ValueError("theta has the wrong number of characters")
     table = _subset_sums(theta)  # one table serves both tests
@@ -417,7 +412,8 @@ def moduli_fan_cones(Q: McKayQuiver, theta: Theta, N2: Lattice):
     return tuple(cones)
 
 
-def moduli_fan(Q: McKayQuiver, theta: Theta, N2: Lattice) -> Resolution:
-    """The toric fan of the moduli space of theta-stable constellations."""
-    cones = moduli_fan_cones(Q, theta, N2)
-    return resolution_from_grid(N2, [cones[0][1]] + [hi for _, _, hi in cones])
+def moduli_fan(Q: McKayQuiver, theta: Theta) -> Resolution:
+    """The toric fan of the moduli space of theta-stable constellations, a
+    resolution in `Q.N2`."""
+    cones = moduli_fan_cones(Q, theta)
+    return resolution_from_grid(Q.N2, [cones[0][1]] + [c[2] for c in cones])

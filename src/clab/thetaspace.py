@@ -9,6 +9,7 @@ import random
 from dataclasses import dataclass, field
 
 from .quiver import (
+    McKayQuiver,
     ModuliFanError,
     Theta,
     build_mckay_quiver,
@@ -19,7 +20,6 @@ from .quiver import (
 from .surface import (
     AbelianAction,
     Resolution,
-    build_N2,
     enumerate_admissible_resolutions,
     is_dominated_by_max,
     maximal_resolution,
@@ -79,16 +79,10 @@ class RealizeOutcome:
         }
 
 
-def realize_resolution(A: AbelianAction, Y: Resolution, budget: int,
+def realize_resolution(Q: McKayQuiver, Y: Resolution, budget: int,
                        seed: int = 0) -> RealizeOutcome:
-    """Search for a certified-generic theta with moduli_fan(theta) = Y by
-    seeded sampling.  Y must be dominated by the maximal resolution."""
-    return _realize(build_mckay_quiver(A), build_N2(A), Y, budget, seed)
-
-
-def _realize(Q, N2, Y: Resolution, budget: int, seed: int) -> RealizeOutcome:
-    """`realize_resolution` on the quiver and lattice of the action, which
-    `verify_main_theorem` builds once for all its resolutions."""
+    """Search for a certified-generic theta with moduli_fan(Q, theta) = Y by
+    seeded sampling; Y must be an admissible resolution in `Q.N2`."""
     if budget < 1:
         raise ValueError("budget must be at least 1")
     if not is_dominated_by_max(Y):
@@ -97,10 +91,10 @@ def _realize(Q, N2, Y: Resolution, budget: int, seed: int) -> RealizeOutcome:
     fans = set()
     for k in range(budget):
         theta = sample_generic(Q.action, derive_seed(seed, k))
-        fan = moduli_fan(Q, theta, N2)
+        fan = moduli_fan(Q, theta)
         fans.add(fan.grid)
         if fan == Y:
-            if moduli_fan(Q, theta, N2) != Y:
+            if moduli_fan(Q, theta) != Y:
                 raise ModuliFanError("the moduli fan of a realizing theta "
                                      "changed on a re-run")
             return RealizeOutcome(Y, theta, k + 1, tuple(sorted(fans)))
@@ -155,23 +149,21 @@ def verify_main_theorem(A: AbelianAction, samples: int, budget: int,
     if samples < 0:
         raise ValueError("samples must be at least 0")
     Q = build_mckay_quiver(A)
-    N2 = build_N2(A)
+    N2 = Q.N2
     max_rays = set(maximal_resolution(N2).grid)
     fans = set()
     violations = []
     counts = []
     for k in range(samples):
         theta = sample_generic(A, derive_seed(seed, k))
-        fan = moduli_fan(Q, theta, N2)
+        fan = moduli_fan(Q, theta)
         fans.add(fan.grid)
         counts.append(len(fan.grid) - 1)
         if not set(fan.grid) <= max_rays:
             violations.append((theta.to_json(), fan.to_json()))
-    outcomes = []
-    for j, Y in enumerate(enumerate_admissible_resolutions(N2)):
-        outcomes.append(
-            _realize(Q, N2, Y, budget, derive_seed(seed, 10 ** 6 + j))
-        )
+    admissible = enumerate_admissible_resolutions(N2)
+    outcomes = [realize_resolution(Q, Y, budget, derive_seed(seed, 10**6 + j))
+                for j, Y in enumerate(admissible)]
     return RealizationReport(
         action=A,
         seed=seed,

@@ -22,6 +22,8 @@ N-scaled pairs the tests compare with `scaled`; a finished triangulation is
 checked by an area sum and a separating-axis test on its Fraction points.
 A Farkas vector of the simplex, which decides systems over x >= 0, is
 checked by `check_farkas`.
+The slice group of the junior simplex, which the library reads off the
+residues of N3, is recomputed from the action's elements.
 The segment walk, the star subdivision, the walls of the stability space
 and the nef-cone dimension are kept with their own tests after the library
 stopped using them.
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction as F
 from math import ceil, floor, gcd, lcm
 
-from clab.lattice import Lattice, cross2, is_member
+from clab.lattice import Lattice, cross2, is_member, lattice_from_generators
 from clab.linprog import Feasibility, solve_feasibility
 from clab.quiver import ARROW_STEP, Theta, build_mckay_quiver, fixed_candidates
 from clab.surface import (
@@ -693,6 +695,21 @@ def lift_to_junior(J, v):
     if not is_member(J.lattice, w):
         raise ValueError(f"lift of {v} is not a lattice point (inconsistent lattices)")
     return w
+
+
+def stabilizer_x_axis(A):
+    """Z = {g : a_g = 0 mod n}, the stabilizer of (1,0) in C^2 c C^3, read
+    off the action's elements."""
+    return tuple((a, b) for a, b in A.elements if a % A.n == 0)
+
+
+def slice_resolution_by_stabilizer(A):
+    """The minimal resolution of C^2/Z for the slice along the e2-e3 edge,
+    with Z = `stabilizer_x_axis(A)` acting by the weights (b, -b) mod n."""
+    n = A.n
+    LW = lattice_from_generators(
+        2, [(F(b, n), F((-a - b) % n, n)) for a, b in stabilizer_x_axis(A)])
+    return minimal_resolution(LW)
 
 
 def _member_scaled(L, scaled, N):

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -9,7 +10,13 @@ from pathlib import Path
 import pytest
 
 import clab
-from clab.cli import MAX_MODULI_ORDER, RunConfig, _select_resolution, main
+from clab.cli import (
+    MAX_MODULI_ORDER,
+    RunConfig,
+    _order,
+    _select_resolution,
+    main,
+)
 from clab.surface import build_action, build_N2, enumerate_admissible_resolutions
 
 from .test_surface import TRIANGULATE_GROUPS
@@ -220,6 +227,32 @@ def test_moduli_and_verify_refuse_large_groups(capsys, command):
     assert code == 2
     assert out == ""
     assert "order 18" in err and f"at most {MAX_MODULI_ORDER}" in err
+
+
+@pytest.mark.parametrize("command, n, order",
+                         [("verify", 1000, 10 ** 6), ("moduli", 1500, 1500 ** 2)])
+def test_oversized_requests_refused_before_the_group_is_built(
+        capsys, monkeypatch, command, n, order):
+    # closing a group of order 10^6 takes seconds; the order comes from the
+    # generators alone, so the refusal must not build the group
+    def refuse(*args):
+        raise AssertionError("the group was built for a refused request")
+
+    monkeypatch.setattr("clab.cli.build_action", refuse)
+    code, out, err = run_cli(capsys, "--n", str(n), "--gens", "1,0;0,1",
+                             command)
+    assert code == 2
+    assert out == ""
+    assert f"this one has order {order}" in err
+
+
+def test_order_from_generators_matches_group():
+    rng = random.Random(0)
+    for _ in range(500):
+        n = rng.randint(1, 24)
+        gens = [(rng.randint(-30, 30), rng.randint(-30, 30))
+                for _ in range(rng.randint(0, 3))]
+        assert _order(n, gens) == build_action(n, gens).order, (n, gens)
 
 
 def test_usage_error_exit_code(capsys):

@@ -22,7 +22,6 @@ from clab.junior import (
     nef_cone,
     regularity_certificate,
     slice_resolution,
-    stabilizer_x_axis,
 )
 from clab.lattice import lattice_from_generators, vec
 from clab.linprog import Feasibility, solve_feasibility
@@ -45,8 +44,10 @@ from .oracles import (
     nef_cone_dimension,
     points_in_triangle_by_fractions,
     project_p12,
+    slice_resolution_by_stabilizer,
     star_subdivide,
 )
+from .test_quiver import _subgroups
 
 
 def cyclic(n, a, b):
@@ -340,11 +341,22 @@ def test_nef_cone_full_dimensional_when_regular():
 
 
 def test_slice_stabilizer_and_resolution():
-    assert stabilizer_x_axis(cyclic(8, 1, 3)) == ((0, 0),)
     A = build_action(2, [(0, 1)])
-    assert stabilizer_x_axis(A) == ((0, 0), (0, 1))
-    W = slice_resolution(A)
+    W = slice_resolution(build_junior(A).lattice)
     assert W.exceptional_rays == (vec(F(1, 2), F(1, 2)),)
+
+
+def test_slice_from_lattice_matches_stabilizer_oracle():
+    # the slice group read off the residues of N3 against the stabilizer
+    # read off the action's elements, over every group of order <= 12
+    groups = _subgroups(12)
+    assert len(groups) == 126
+    trivial = 0
+    for A in groups:
+        W = slice_resolution(build_junior(A).lattice)
+        assert W == slice_resolution_by_stabilizer(A), A
+        trivial += W.lattice.N == 1
+    assert 0 < trivial < len(groups)
 
 
 def test_amp_restriction_trivial_slice():
@@ -352,7 +364,7 @@ def test_amp_restriction_trivial_slice():
     A = cyclic(8, 1, 3)
     J = build_junior(A)
     T = build_containing_triangulation(J, maximal_resolution(build_N2(A)))
-    assert amp_restriction_surjective(T, A)
+    assert amp_restriction_surjective(T)
 
 
 @pytest.mark.parametrize("gens,n", [([(0, 1)], 2), ([(0, 1)], 3)])
@@ -362,7 +374,7 @@ def test_amp_restriction_product_case(gens, n):
     J = build_junior(A)
     Y = minimal_resolution(build_N2(A))
     T = build_containing_triangulation(J, Y)
-    assert amp_restriction_surjective(T, A)
+    assert amp_restriction_surjective(T)
 
 
 def test_amp_restriction_on_all_admissible():
@@ -370,7 +382,7 @@ def test_amp_restriction_on_all_admissible():
         J = build_junior(A)
         for Y in enumerate_admissible_resolutions(build_N2(A)):
             T = build_containing_triangulation(J, Y)
-            assert amp_restriction_surjective(T, A)
+            assert amp_restriction_surjective(T)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +446,7 @@ def test_certificate_lps_match_fraction_simplex(monkeypatch):
     for A, Y in cases:
         T = build_containing_triangulation(build_junior(A), Y)
         assert isinstance(regularity_certificate(T), PLSupportFunction)
-        assert amp_restriction_surjective(T, A)
+        assert amp_restriction_surjective(T)
     assert len(solved) > len(cases)
 
 
@@ -456,7 +468,7 @@ def test_junior_lp_rows_sum_to_zero(monkeypatch):
         for edge, r in T.wall_rows:
             assert sum(r) == 0, edge
         walls += len(T.wall_rows)
-        amp_restriction_surjective(T, A)
+        amp_restriction_surjective(T)
     assert walls > 0 and amp_rows
     for a in amp_rows:
         assert sum(a) == 0 and sorted(c for c in a if c) == [-2, 1, 1]

@@ -128,9 +128,23 @@ def test_sparse_degenerate_systems_match_fraction_simplex(seed):
     assert _same(solve_feasibility(n, eqs, ges), fraction_simplex(n, eqs, ges))
 
 
-# every solution over free x has a negative coordinate; over x >= 0 each
-# system gives a nonnegative point or a Farkas vector
+# the solver decides x >= 0.  Each infeasible system below has solutions
+# over free x, and every one of them has a negative coordinate, so it is
+# refused with a Farkas vector; each feasible one is its sign-mirrored
+# twin, whose solutions include a nonnegative point
 MIRRORED_FEASIBLE = [
+    # x0 + x1 = 3, x0 - x1 = 1: only (2, 1)
+    (2, [([1, 1], 3), ([1, -1], 1)], []),
+    # x0 >= 2, x0 + x1 >= 5, x2 >= x0 / 2
+    (3, [], [([1, 0, 0], 2), ([1, 1, 0], 5), ([F(-1, 2), 0, 1], 0)]),
+    # 2 x0 + x1 = 7 with x1 >= 1 and x0 >= 2
+    (2, [([2, 1], 7)], [([0, 1], 1), ([1, 0], 2)]),
+]
+MIRRORED_INFEASIBLE = [
+    # x0 <= -1 and x0 + x1 >= 0 force x1 >= 1, against x1 <= 0
+    (2, [], [([-1, 0], 1), ([1, 1], 0), ([0, -1], 0)]),
+    # x0 = -4 - 2 x1 <= -4 with x1 >= 0, against x0 >= -3
+    (2, [([1, 2], -4)], [([0, 1], 0), ([1, 0], -3)]),
     # x0 + x1 = -3, x0 - x1 = 1: only (-1, -2)
     (2, [([1, 1], -3), ([1, -1], 1)], []),
     # x0 <= -2, x0 + x1 <= -5, x2 >= x0 / 2
@@ -138,21 +152,16 @@ MIRRORED_FEASIBLE = [
     # 2 x0 + x1 = -7 with x1 >= 1 and x0 >= -9
     (2, [([2, 1], -7)], [([0, 1], 1), ([1, 0], -9)]),
 ]
-MIRRORED_INFEASIBLE = [
-    # x0 <= -1 and x0 + x1 >= 0 force x1 >= 1, against x1 <= 0
-    (2, [], [([-1, 0], 1), ([1, 1], 0), ([0, -1], 0)]),
-    # x0 = -4 - 2 x1 <= -4 with x1 >= 0, against x0 >= -3
-    (2, [([1, 2], -4)], [([0, 1], 0), ([1, 0], -3)]),
-]
 
 
 @pytest.mark.parametrize("n, eqs, ges", MIRRORED_FEASIBLE)
 def test_mirrored_columns_feasible(n, eqs, ges):
     r = solve_feasibility(n, eqs, ges)
-    if r.feasible:
-        assert min(r.point) >= 0
-    else:
-        assert check_farkas(n, eqs, ges, r.farkas)
+    assert r.feasible and min(r.point) >= 0
+    for a, b in eqs:
+        assert sum(c * v for c, v in zip(a, r.point)) == b
+    for a, b in ges:
+        assert sum(c * v for c, v in zip(a, r.point)) >= b
     assert _same(r, fraction_simplex(n, eqs, ges))
 
 

@@ -325,7 +325,6 @@ def test_stable_supports_match_mask_oracle(group):
     # each stability mask; a mask summing to 0 makes a support unstable
     A = build_action(*group)
     Q = build_mckay_quiver(A)
-    N2 = build_N2(A)
     rng = random.Random(f"stable {_group_id(group)}")
     generic = on_zero_mask = 0
     for theta in _oracle_thetas(A.order, rng):
@@ -337,12 +336,12 @@ def test_stable_supports_match_mask_oracle(group):
             for c in fixed_candidates(Q) if c.stability_masks)
         if is_generic(theta):
             generic += 1
-            cones = moduli_fan_cones(Q, theta, N2)
+            cones = moduli_fan_cones(Q, theta)
             assert ({c.arrows for c, _, _ in cones}
                     == {c.arrows for c in expected if c.cone is not None}), theta
         else:
             with pytest.raises(NonGenericThetaError):
-                moduli_fan_cones(Q, theta, N2)
+                moduli_fan_cones(Q, theta)
     assert 0 < generic < 50
     assert on_zero_mask > 0
 
@@ -377,53 +376,35 @@ def test_limit_feasible_matches_simplex():
 def test_ps_limit_one_third():
     A = cyclic(3, 1, 1)
     Q = build_mckay_quiver(A)
-    N2 = build_N2(A)
     theta = make_theta([-2, 1, 1])
     y_chain = tuple(sorted([("y", 0), ("y", 1)]))
     x_chain = tuple(sorted([("x", 0), ("x", 1)]))
-    assert ps_limit(Q, theta, (F(4, 3), F(1, 3)), N2).arrows == y_chain
-    assert ps_limit(Q, theta, (F(1, 3), F(4, 3)), N2).arrows == x_chain
+    assert ps_limit(Q, theta, (F(4, 3), F(1, 3))).arrows == y_chain
+    assert ps_limit(Q, theta, (F(1, 3), F(4, 3))).arrows == x_chain
 
 
 def test_ps_limit_trivial_group():
     A = build_action(1, [])
     Q = build_mckay_quiver(A)
-    lim = ps_limit(Q, make_theta([0]), (1, 1), build_N2(A))
+    lim = ps_limit(Q, make_theta([0]), (1, 1))
     assert lim.arrows == ()
 
 
 def test_ps_limit_on_fan_ray_fails():
     A = cyclic(3, 1, 1)
     Q = build_mckay_quiver(A)
-    N2 = build_N2(A)
     theta = make_theta([-2, 1, 1])
     with pytest.raises(NoLimitSupportError):
-        ps_limit(Q, theta, (1, 1), N2)  # on the ray through (1/3, 1/3)
+        ps_limit(Q, theta, (1, 1))  # on the ray through (1/3, 1/3)
 
 
 def test_ps_limit_validates_inputs():
     A = cyclic(3, 1, 1)
     Q = build_mckay_quiver(A)
-    N2 = build_N2(A)
     with pytest.raises(NonGenericThetaError):
-        ps_limit(Q, make_theta([0, 0, 0]), (2, 1), N2)
+        ps_limit(Q, make_theta([0, 0, 0]), (2, 1))
     with pytest.raises(ValueError):
-        ps_limit(Q, make_theta([-2, 1, 1]), (-1, 1), N2)
-
-
-def test_ps_limit_rejects_another_groups_lattice():
-    # u = (1/7, 3/7) lies in the N2 of 1/7(1,3) but not in that of
-    # 1/5(1,2): with the wrong lattice, u would be tested in the wrong one
-    A = cyclic(5, 1, 2)
-    Q = build_mckay_quiver(A)
-    other = build_N2(cyclic(7, 1, 3))
-    theta = make_theta([-4, 1, 1, 1, 1])
-    for call in (lambda: ps_limit(Q, theta, (F(1, 7), F(3, 7)), other),
-                 lambda: moduli_fan_cones(Q, theta, other)):
-        with pytest.raises(ValueError, match="lattice of the quiver"):
-            call()
-    # the group's own lattice is accepted
-    ps_limit(Q, theta, (1, 1), build_N2(A))
+        ps_limit(Q, make_theta([-2, 1, 1]), (-1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -432,21 +413,21 @@ def test_ps_limit_rejects_another_groups_lattice():
 
 def test_moduli_fan_one_third_minimal():
     A = cyclic(3, 1, 1)
-    fan = moduli_fan(build_mckay_quiver(A), make_theta([-2, 1, 1]), build_N2(A))
+    fan = moduli_fan(build_mckay_quiver(A), make_theta([-2, 1, 1]))
     assert fan.rays == (vec(1, 0), vec(F(1, 3), F(1, 3)), vec(0, 1))
     assert fan == minimal_resolution(build_N2(A))
 
 
 def test_moduli_fan_trivial():
     A = build_action(1, [])
-    fan = moduli_fan(build_mckay_quiver(A), make_theta([0]), build_N2(A))
+    fan = moduli_fan(build_mckay_quiver(A), make_theta([0]))
     assert fan.exceptional_rays == ()
 
 
 def test_moduli_fan_rejects_walls():
     A = cyclic(3, 1, 1)
     with pytest.raises(NonGenericThetaError):
-        moduli_fan(build_mckay_quiver(A), make_theta([0, 0, 0]), build_N2(A))
+        moduli_fan(build_mckay_quiver(A), make_theta([0, 0, 0]))
 
 
 def test_moduli_fan_one_eighth_rays_admissible():
@@ -455,7 +436,7 @@ def test_moduli_fan_one_eighth_rays_admissible():
     N2 = build_N2(A)
     allowed = {vec(F(3, 8), F(1, 8)), vec(F(1, 2), F(1, 2)), vec(F(1, 8), F(3, 8))}
     theta = make_theta([-7, 1, 1, 1, 1, 1, 1, 1])
-    fan = moduli_fan(Q, theta, N2)
+    fan = moduli_fan(Q, theta)
     assert set(fan.exceptional_rays) <= allowed
     # G-Hilb chamber: theta negative exactly on the trivial character gives
     # the minimal resolution
@@ -501,28 +482,26 @@ def test_g_hilb_chamber_gives_minimal_resolution():
                             for v in range(m)])
         assert is_generic(theta), A
         N2 = build_N2(A)
-        assert moduli_fan(Q, theta, N2) == minimal_resolution(N2), A
+        assert moduli_fan(Q, theta) == minimal_resolution(N2), A
 
 
 def test_fixed_point_count_equals_maximal_cones():
     A = cyclic(3, 1, 1)
     Q = build_mckay_quiver(A)
-    N2 = build_N2(A)
     theta = make_theta([-2, 1, 1])
-    cones = moduli_fan_cones(Q, theta, N2)
-    fan = moduli_fan(Q, theta, N2)
+    cones = moduli_fan_cones(Q, theta)
+    fan = moduli_fan(Q, theta)
     assert len(cones) == len(fan.rays) - 1 == 2
 
 
 def test_ps_limit_agrees_with_cones():
     A = cyclic(3, 1, 1)
     Q = build_mckay_quiver(A)
-    N2 = build_N2(A)
     theta = make_theta([-2, 1, 1])
-    cones = moduli_fan_cones(Q, theta, N2)
+    cones = moduli_fan_cones(Q, theta)
     for c, lo, hi in cones:
         mid = tuple(a + b for a, b in zip(lo, hi))
-        assert ps_limit(Q, theta, mid, N2).arrows == c.arrows
+        assert ps_limit(Q, theta, mid).arrows == c.arrows
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +525,7 @@ def test_fan_invariants_random(n, a, b, tseed):
             break
     else:
         return
-    fan = moduli_fan(Q, theta, N2)
+    fan = moduli_fan(Q, theta)
     # every ray lies in Delta' (the executable only-if direction)
     assert all(r[0] + r[1] <= 1 for r in fan.rays)
     # the fan dominates the minimal resolution
