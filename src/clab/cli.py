@@ -190,8 +190,8 @@ def _emit(cfg: RunConfig, payload: dict, drawing: str | None = None) -> str:
     return payload["text"] + "\n"
 
 
-def _group_facts(A):
-    B = boundary_divisor(A)
+def _group_facts(A, N2):
+    B = boundary_divisor(N2)
     c1, c2 = B.coefficients
     return {
         "action": A.to_json(),
@@ -254,7 +254,7 @@ def run(cfg: RunConfig):
     A = build_action(cfg.n, cfg.gens)
 
     if cfg.command == "group":
-        facts = _group_facts(A)
+        facts = _group_facts(A, build_N2(A))
         b = facts["boundary"]
         text = (f"G of order {facts['order']} (exponent {facts['exponent']}), "
                 f"small={str(facts['small']).lower()}\n"
@@ -266,14 +266,15 @@ def run(cfg: RunConfig):
     if cfg.command in ("minres", "maxres"):
         N2 = build_N2(A)
         Y = minimal_resolution(N2) if cfg.command == "minres" else maximal_resolution(N2)
-        payload = _group_facts(A)
+        payload = _group_facts(A, N2)
         payload["resolution"] = Y.to_json()
         payload["text"] = _fmt_resolution(Y)
         return 0, _emit(cfg, payload, drawing=_drawing(cfg, Y))
 
     if cfg.command == "resolutions":
-        res = enumerate_admissible_resolutions(build_N2(A))
-        payload = _group_facts(A)
+        N2 = build_N2(A)
+        res = enumerate_admissible_resolutions(N2)
+        payload = _group_facts(A, N2)
         payload["count"] = len(res)
         payload["resolutions"] = [Y.to_json() for Y in res]
         payload["text"] = "\n".join(

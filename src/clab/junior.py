@@ -1,7 +1,8 @@
 """The SL(3) side: junior simplex, lifts of surface rays, basic triangulations,
 the recursive star-subdivision construction of a projective crepant 3-fold
-containing a chosen surface resolution, and the LP-backed regularity, nef-cone
-and ample-restriction computations.
+containing a chosen surface resolution, the nef cone, and the regularity and
+ample-restriction certificates, built by welding and checked, with an LP
+fallback.
 
 All triangulations live on the junior plane {x + y + z = 1}.  Every junior
 point lies on the (1/N)-grid, N = [N3 : Z^3] = |G|, so inside this module a
@@ -269,13 +270,24 @@ class RegularityRefusal:
 
 
 def regularity_certificate(T: Triangulation):
-    """Rational heights strictly convex across every interior wall, or a
-    refusal witness.  Strictness is encoded by the scale-invariant system
-    row.h >= 1.  The wall rows sum to 0, so the system has a solution iff
-    it has one with h >= 0, the one the solver looks for."""
+    """Heights strictly convex across every interior wall, or a refusal
+    witness.  Welded heights are checked against every wall row; the LP runs
+    only when T does not weld or the check fails."""
     rows = T.wall_rows
     if not rows:
         return PLSupportFunction(T, tuple([Fraction(0)] * len(T.grid)))
+    heights = _weld_heights(T)
+    if heights is not None and all(
+            sum(h * c for h, c in zip(heights, r) if c) > 0 for _, r in rows):
+        return PLSupportFunction(T, tuple(heights))
+    return _regularity_lp(T)
+
+
+def _regularity_lp(T):
+    """The certificate by LP.  Strictness is encoded by the scale-invariant
+    system row.h >= 1.  The wall rows sum to 0, so the system has a solution
+    iff it has one with h >= 0, the one the solver looks for."""
+    rows = T.wall_rows
     res = solve_feasibility(len(T.grid), [], [(r, 1) for _, r in rows])
     if res.feasible:
         for edge, r in rows:
@@ -331,16 +343,28 @@ def slice_resolution(N3: Lattice) -> Resolution:
 
 
 def amp_restriction_surjective(T: Triangulation) -> bool:
-    """Whether Nef(U_Sigma) -> Nef(W) is surjective, decided by one weak-wall
-    LP per extreme ray of Nef(W), with W the slice resolution of
-    `T.lattice`.  W-heights are read off along the e2-e3 edge of the junior
-    simplex."""
+    """Whether Nef(U_Sigma) -> Nef(W) is surjective, with W the slice
+    resolution of `T.lattice`, read off along the e2-e3 edge.  Its rays are
+    equally spaced, so Nef(W) is simplicial with one tent per exceptional
+    curve, and h restricts to the tent at s_k modulo affine functions iff
+    its second differences there are > 0 at k and 0 elsewhere.  Each tent
+    is welded with s_k held back and checked; its LP runs only on failure."""
+    edge = _slice_edge(T)
+    for k in range(1, len(edge) - 1):
+        h = _weld_heights(T, late=edge[k])
+        if h is None or not _is_tent(T, edge, k, h):
+            if not _tent_lp(T, edge, k):
+                return False
+    return True
+
+
+def _slice_edge(T):
+    """The indices of W's rays lifted to the e2-e3 edge, in W's order."""
     N = T.lattice.N
     index = {p: i for i, p in enumerate(T.grid)}
     if (N, 0) not in index:
         raise ValueError("e1 is not a vertex of the triangulation")
     W = slice_resolution(T.lattice)
-    m = len(W.grid) - 1
     # the slice ray (a, b) is the junior point (0, a, b), with grid pair
     # (0, N a); W's pairs are scaled by the index of its lattice, |Z|
     scale = N // W.lattice.N
@@ -349,26 +373,111 @@ def amp_restriction_surjective(T: Triangulation) -> bool:
         raise ValueError("triangulation is missing a slice lattice point")
     if sum(1 for X, _ in T.grid if X == 0) != len(edge):
         raise ValueError("triangulation subdivides the e2-e3 edge unexpectedly")
-    if m < 2:
-        return True
-    # rays are equally spaced on the segment, so Nef(W) is simplicial with
-    # one tent-shaped extreme ray per exceptional curve, and h restricted to
-    # the slice is the tent modulo affine functions iff their second
-    # differences agree: the tent's are m at its apex k and 0 elsewhere
     if len({(V[0] - U[0], V[1] - U[1])
-            for U, V in itertools.pairwise(W.grid)}) != 1:
+            for U, V in itertools.pairwise(W.grid)}) > 1:
         raise TriangulationError("the slice rays are not equally spaced")
-    second_diffs = []
+    return edge
+
+
+def _is_tent(T, edge, k, h):
+    """h is nef on T, and its slice second differences are > 0 at k only."""
+    if any(sum(x * c for x, c in zip(h, r) if c) < 0 for _, r in T.wall_rows):
+        return False
+    d = [h[u] - 2 * h[v] + h[w] for u, v, w in zip(edge, edge[1:], edge[2:])]
+    return d[k - 1] > 0 and not any(d[:k - 1] + d[k:])
+
+
+def _tent_lp(T, edge, k):
+    """Whether some nef h has second differences m at k, 0 elsewhere."""
+    m = len(edge) - 1
+    eqs = []
     for j in range(1, m):
         row = [0] * len(T.grid)
         row[edge[j - 1]], row[edge[j]], row[edge[j + 1]] = 1, -2, 1
-        second_diffs.append(row)
+        eqs.append((row, m if j == k else 0))
     wall_ges = [(r, 0) for _, r in T.wall_rows]
-    for k in range(1, m):
-        eqs = [(row, m if j == k else 0)
-               for j, row in enumerate(second_diffs, start=1)]
-        if not solve_feasibility(len(T.grid), eqs, wall_ges).feasible:
+    return solve_feasibility(len(T.grid), eqs, wall_ges).feasible
+
+
+def _weld_heights(T, late=None):
+    """Integer heights along a stellar sequence that builds T, or None if T
+    does not weld back to one triangle.  Stellar subdivisions keep a
+    triangulation regular when each new point is set a little below the
+    interpolation (De Loera-Rambau-Santos, Triangulations, 2010, 4.3).  A
+    weld removes p if it is interior of degree 3, or on the boundary with
+    two triangles and between its boundary neighbours, or interior of degree
+    4 on the diagonal ac of its link abcd (its star becomes abc and acd).
+    Points are tried in index order, `late` only when no other point welds.
+    Replayed from the last triangle at 0, p goes 1 below the interpolation
+    from its host (the larger new triangle, area D) after every height is
+    scaled by D M, M = N^2 + 1; after `late`, on it, scaled by D.  Old walls
+    are then >= D M, and a wall of pab against abe gains M |abp| >= M and
+    loses |abe| <= N^2.  The caller checks the heights."""
+    g = T.grid
+    star = {i: set() for i in range(len(g))}
+    for t in T.triangles:
+        for i in t:
+            star[i].add(t)
+    welds = []
+    while len(star) > 3:
+        n = len(welds)
+        for p in [i for i in star if i != late]:
+            _weld(g, p, star, welds)
+        if len(welds) == n and not (late in star and _weld(g, late, star, welds)):
+            return None
+    M = T.lattice.N ** 2 + 1
+    h = [0] * len(g)
+    pull = True
+    for p, host in reversed(welds):
+        a, b, c = (g[i] for i in host)
+        lam = (_cross(g[p], b, c), _cross(a, g[p], c), _cross(a, b, g[p]))
+        D = sum(lam)
+        if D < 0:
+            lam, D = [-x for x in lam], -D
+        interp = sum(x * h[i] for x, i in zip(lam, host))
+        f = D * M if pull else D
+        h = [x * f for x in h]
+        h[p] = M * interp - 1 if pull else interp
+        pull = pull and p != late
+    return h
+
+
+def _weld(g, p, star, welds):
+    """Weld p if a move applies: update `star` and record (p, host)."""
+    tris = star[p]
+    if not 2 <= len(tris) <= 4:
+        return False
+    link = [tuple(i for i in t if i != p) for t in tris]
+    nbrs = {}
+    for a, b in link:
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
+    ends = [i for i, js in nbrs.items() if len(js) == 1]
+    if (len(tris) == 3 and not ends) or (
+            len(tris) == 2 and len(ends) == 2
+            and _on_segment(g[p], g[ends[0]], g[ends[1]])):
+        new = [tuple(sorted(nbrs))]
+    elif len(tris) == 4 and not ends:
+        a = link[0][0]
+        b, d = nbrs[a]
+        c = next(i for i in nbrs if i not in (a, b, d))
+        if not _on_segment(g[p], g[a], g[c]):
+            a, b, c, d = b, a, d, c
+        if not (_on_segment(g[p], g[a], g[c]) and
+                _cross(g[a], g[c], g[b]) * _cross(g[a], g[c], g[d]) < 0):
             return False
+        new = [tuple(sorted(t)) for t in ((a, b, c), (a, c, d))]
+    else:
+        return False
+    for t in tris:
+        for i in t:
+            if i != p:
+                star[i].discard(t)
+    for t in new:
+        for i in t:
+            star[i].add(t)
+    del star[p]
+    welds.append((p, max(new, key=lambda t: abs(_cross(*(g[i] for i in t))))))
     return True
 
 

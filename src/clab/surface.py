@@ -99,10 +99,9 @@ class BoundaryDivisor:
         return self.m1 == 1 and self.m2 == 1
 
 
-def boundary_divisor(A: AbelianAction) -> BoundaryDivisor:
+def boundary_divisor(N2: Lattice) -> BoundaryDivisor:
     """e_i' = e_i / m_i is the primitive point of N2 on the i-th axis; its
     N-scaled coordinate k_i divides N, and m_i = N / k_i."""
-    N2 = build_N2(A)
     N = N2.N
     k1 = primitive_point(N2, (1, 0))[0]
     k2 = primitive_point(N2, (0, 1))[1]

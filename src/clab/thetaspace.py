@@ -85,6 +85,9 @@ def realize_resolution(Q: McKayQuiver, Y: Resolution, budget: int,
     seeded sampling; Y must be an admissible resolution in `Q.N2`."""
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    if Y.lattice != Q.N2:
+        raise ValueError("the resolution is not in the lattice N2 of the "
+                         "quiver's group")
     if not is_dominated_by_max(Y):
         raise ValueError("resolution is not admissible (not dominated by the "
                          "maximal resolution)")

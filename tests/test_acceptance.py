@@ -95,7 +95,7 @@ def test_criterion_2_a_series(capsys):
 def test_criterion_3_reflection_case(capsys):
     t0 = time.monotonic()
     A = cyclic(2, 1, 0)
-    B = boundary_divisor(A)
+    B = boundary_divisor(build_N2(A))
     assert (B.m1, B.m2) == (2, 1)
     assert B.coefficients == (F(1, 2), F(0))
     N2 = build_N2(A)

@@ -255,6 +255,25 @@ def test_order_from_generators_matches_group():
         assert _order(n, gens) == build_action(n, gens).order, (n, gens)
 
 
+def test_each_command_builds_N2_once(monkeypatch, capsys):
+    # cli, the quiver and the surface layer each look build_N2 up by name
+    calls = []
+    real = clab.surface.build_N2
+
+    def counted(A):
+        calls.append(A)
+        return real(A)
+
+    for module in (clab.cli, clab.quiver, clab.surface):
+        monkeypatch.setattr(module, "build_N2", counted)
+    for command in ("group", "minres", "maxres", "resolutions", "triangulate",
+                    "moduli", "verify"):
+        calls.clear()
+        code, _, _ = run_cli(capsys, "--n", "8", "--gens", "1,3", command)
+        assert code == 0, command
+        assert len(calls) == 1, command
+
+
 def test_usage_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "--n", "2", "--gens", "bogus", "group")
     assert code == 2

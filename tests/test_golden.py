@@ -1,15 +1,17 @@
-"""The CLI's output on a fixed sweep of 163 requests, against committed
+"""The CLI's output on a fixed sweep of 178 requests, against committed
 hashes.
 
 Each case is one `clab` command line.  A JSON reply is hashed byte for byte
 with its `generated_at` line removed, an SVG or DOT reply whole; a usage
 error is kept as its message.  The hashes in `golden_sweep.json` pin the
-output of every `triangulate` selector, every admissible list, every seeded
-`verify` and `moduli` report, the `group`, `minres` and `maxres` reports of
-every group in the sweep, `moduli` at explicit thetas (integers, integral
-fractions such as -2/1, proper fractions, a non-generic one), and the
-drawings of the maximal resolution and of one moduli fan for three groups,
-so a refactor that changes any of them fails here.
+output of every `triangulate` selector (also on two groups whose slice has
+two amp tents, with one resolution whose certificates come from the LPs),
+every admissible list, every seeded `verify` and `moduli` report, the
+`group`, `minres` and `maxres` reports of every group in the sweep, `moduli`
+at explicit thetas (integers, integral fractions such as -2/1, proper
+fractions, a non-generic one), and the drawings of the maximal resolution
+and of one moduli fan for three groups, so a refactor that changes any of
+them fails here.
 
 To re-record after an intended change of output:
 
@@ -30,6 +32,9 @@ GOLDEN = Path(__file__).with_name("golden_sweep.json")
 TRIANGULATE_GROUPS = ("24:1,7", "12:1,7;0,6", "12:1,5;0,6", "30:1,11",
                       "18:1,5;0,9")
 SELECTORS = ("min", "max", "0", "1", "5", "17", "-1")
+# slices with m = 3; index 15 of 12:1,1;0,4 does not weld back to the junior
+# simplex, so its regularity and amp verdicts come from the LPs
+M3_GROUPS = {"9:1,2;0,3": SELECTORS, "12:1,1;0,4": SELECTORS + ("15",)}
 VERIFY_GROUPS = ("4:1,3", "2:1,1;1,0", "5:1,2", "6:2,1;0,3", "7:1,3", "8:1,3",
                  "4:1,1;2,0", "8:1,2", "9:3,1", "10:1,3")
 SEEDS = ("0", "1", "7")
@@ -57,6 +62,10 @@ def cases():
             out[f"triangulate {g} {sel}"] = [*_group_args(g), "triangulate",
                                              "--resolution", sel]
         out[f"resolutions {g}"] = [*_group_args(g), "resolutions"]
+    for g, selectors in M3_GROUPS.items():
+        for sel in selectors:
+            out[f"triangulate {g} {sel}"] = [*_group_args(g), "triangulate",
+                                             "--resolution", sel]
     for g in VERIFY_GROUPS:
         for cmd in ("verify", "moduli"):
             for seed in SEEDS:
@@ -105,7 +114,7 @@ def sweep():
 def test_sweep_matches_golden_hashes():
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
     got = sweep()
-    assert len(got) == 163
+    assert len(got) == 178
     assert sorted(got) == sorted(expected)
     changed = [label for label in got if got[label] != expected[label]]
     assert changed == []

@@ -240,7 +240,7 @@ def test_regularity_certificate_exists_for_constructions():
             assert isinstance(cert, PLSupportFunction)
 
 
-def test_regularity_refusal_on_spiral():
+def test_regularity_refusal_on_spiral(monkeypatch):
     # classical non-regular example: two nested triangles, spiral
     # triangulation; embedded on the junior plane with denominator 8
     L = lattice_from_generators(
@@ -259,8 +259,12 @@ def test_regularity_refusal_on_spiral():
         (a3, a1, b3), (a1, b3, b1),
     ]
     T = make_triangulation(L, spiral)
+    lps = []
+    monkeypatch.setattr(junior, "solve_feasibility",
+                        lambda *args: lps.append(args) or solve_feasibility(*args))
     ref = regularity_certificate(T)
     assert isinstance(ref, RegularityRefusal)
+    assert len(lps) == 1
     assert len(ref.edges) >= 1
     # re-check the Farkas combination mechanically: the wall rows sum to 0,
     # so the combination is exactly 0, a witness over free heights too
@@ -272,11 +276,32 @@ def test_regularity_refusal_on_spiral():
     assert sum(ref.farkas) > 0
 
 
+def _spiral_twin():
+    """The spiral's combinatorics on a larger outer triangle, with the inner
+    triangle placed so that it is regular.  Every inner point has degree 4
+    and lies on no diagonal of its link, so it does not weld."""
+    L = lattice_from_generators(
+        3, [(F(1, 8), 0, F(-1, 8)), (0, F(1, 8), F(-1, 8))]
+    )
+
+    def pt(x, y):
+        return vec(F(x, 8), F(y, 8), 1 - F(x + y, 8))
+
+    a1, a2, a3 = pt(6, 0), pt(0, 6), pt(0, 0)
+    b1, b2, b3 = pt(2, 2), pt(1, 2), pt(2, 1)
+    return make_triangulation(L, [
+        (b1, b2, b3),
+        (a1, a2, b1), (a2, b1, b2),
+        (a2, a3, b2), (a3, b2, b3),
+        (a3, a1, b3), (a1, b3, b1),
+    ])
+
+
 def test_regularity_certificate_rechecks_heights(monkeypatch):
-    # the certificate check is a raise, so it holds under python -O too
-    A = cyclic(8, 1, 3)
-    T = build_containing_triangulation(build_junior(A),
-                                       maximal_resolution(build_N2(A)))
+    # the certificate check is a raise, so it holds under python -O too.  The
+    # twin does not weld, so its certificate comes from the LP
+    T = _spiral_twin()
+    assert junior._weld_heights(T) is None
     # certified heights, raised at a point whose entry in the first wall row
     # is negative until that wall is no longer strictly convex
     good = list(regularity_certificate(T).heights)
@@ -428,9 +453,10 @@ def _certificate_cases():
 
 
 def test_certificate_lps_match_fraction_simplex(monkeypatch):
-    # every LP of the regularity certificate and the amp restriction, for all
-    # admissible resolutions of 1/12(1,7;0,6) and for min and max of the
-    # triangulate groups: identical point or Farkas vector
+    # every fallback LP of the regularity certificate and the amp
+    # restriction, solved directly, for all admissible resolutions of
+    # 1/12(1,7;0,6) and for min and max of the triangulate groups: identical
+    # point or Farkas vector
     solved = []
 
     def both(n, eqs, ges):
@@ -445,8 +471,10 @@ def test_certificate_lps_match_fraction_simplex(monkeypatch):
     cases = _certificate_cases()
     for A, Y in cases:
         T = build_containing_triangulation(build_junior(A), Y)
-        assert isinstance(regularity_certificate(T), PLSupportFunction)
-        assert amp_restriction_surjective(T)
+        assert isinstance(junior._regularity_lp(T), PLSupportFunction)
+        edge = junior._slice_edge(T)
+        for k in range(1, len(edge) - 1):
+            assert junior._tent_lp(T, edge, k)
     assert len(solved) > len(cases)
 
 
@@ -468,10 +496,116 @@ def test_junior_lp_rows_sum_to_zero(monkeypatch):
         for edge, r in T.wall_rows:
             assert sum(r) == 0, edge
         walls += len(T.wall_rows)
-        amp_restriction_surjective(T)
+        edge = junior._slice_edge(T)
+        for k in range(1, len(edge) - 1):
+            junior._tent_lp(T, edge, k)
     assert walls > 0 and amp_rows
     for a in amp_rows:
         assert sum(a) == 0 and sorted(c for c in a if c) == [-2, 1, 1]
+
+
+# ---------------------------------------------------------------------------
+# certificates by construction against the LPs they replace
+
+
+def _lp_verdicts(T):
+    edge = junior._slice_edge(T)
+    return (isinstance(junior._regularity_lp(T), PLSupportFunction),
+            all(junior._tent_lp(T, edge, k) for k in range(1, len(edge) - 1)))
+
+
+def _count_lps(monkeypatch):
+    calls = []
+    monkeypatch.setattr(junior, "solve_feasibility",
+                        lambda *args: calls.append(args) or solve_feasibility(*args))
+    return calls
+
+
+def test_constructed_verdicts_match_lp_verdicts(monkeypatch):
+    # every admissible resolution of every group of order <= 12, with up to
+    # 11 tents on the slice (m = 12); all of them weld, so no LP runs
+    cases = [(A, Y) for A in _subgroups(12)
+             for Y in enumerate_admissible_resolutions(build_N2(A))]
+    assert len(cases) == 241
+    lps = _count_lps(monkeypatch)
+    verdicts = []
+    for A, Y in cases:
+        T = build_containing_triangulation(build_junior(A), Y)
+        cert = regularity_certificate(T)
+        verdicts.append((T, isinstance(cert, PLSupportFunction),
+                         amp_restriction_surjective(T)))
+        if verdicts[-1][1]:
+            assert all(isinstance(h, int) for h in cert.heights)
+            assert nef_cone(T).contains(cert.heights, strict=True)
+    assert lps == []
+    for T, regular, amp in verdicts:
+        assert (regular, amp) == _lp_verdicts(T)
+
+
+def test_no_lp_on_the_triangulate_groups(monkeypatch):
+    lps = _count_lps(monkeypatch)
+    count = 0
+    for n, gens in TRIANGULATE_GROUPS:
+        A = build_action(n, gens)
+        J = build_junior(A)
+        for Y in enumerate_admissible_resolutions(build_N2(A)):
+            T = build_containing_triangulation(J, Y)
+            assert isinstance(regularity_certificate(T), PLSupportFunction)
+            assert amp_restriction_surjective(T)
+            count += 1
+    assert count == 226
+    assert lps == []
+
+
+def test_unwelded_m3_case_falls_back_to_the_lps(monkeypatch):
+    # index 15 of 1/12(1,1;0,4) sticks with seven points left, none of which
+    # a move welds: both certificates and both tents come from the LPs
+    A = build_action(12, [(1, 1), (0, 4)])
+    Y = enumerate_admissible_resolutions(build_N2(A))[15]
+    T = build_containing_triangulation(build_junior(A), Y)
+    assert len(junior._slice_edge(T)) == 4  # m = 3: two tents
+    assert junior._weld_heights(T) is None
+    lps = _count_lps(monkeypatch)
+    assert isinstance(regularity_certificate(T), PLSupportFunction)
+    assert len(lps) == 1
+    assert amp_restriction_surjective(T)
+    assert len(lps) == 3
+
+
+def test_constructed_heights_are_checked(monkeypatch):
+    # heights that fail their check send both certificates to the LPs
+    A = build_action(12, [(1, 7), (0, 6)])
+    T = build_containing_triangulation(
+        build_junior(A), maximal_resolution(build_N2(A)))
+    monkeypatch.setattr(junior, "_weld_heights",
+                        lambda T, late=None: [0] * len(T.grid))
+    lps = _count_lps(monkeypatch)
+    cert = regularity_certificate(T)
+    assert isinstance(cert, PLSupportFunction) and len(lps) == 1
+    assert nef_cone(T).contains(cert.heights, strict=True)
+    assert amp_restriction_surjective(T) and len(lps) == 2
+
+
+def test_tent_heights_restrict_to_the_tent():
+    # the held-back slice point is the first slice point inserted, and every
+    # later point sits on the interpolation: weakly convex, one kink on the
+    # slice
+    A = build_action(9, [(1, 2), (0, 3)])
+    J = build_junior(A)
+    for Y in enumerate_admissible_resolutions(build_N2(A))[::9]:
+        T = build_containing_triangulation(J, Y)
+        edge = junior._slice_edge(T)
+        assert len(edge) == 4
+        for k in (1, 2):
+            h = junior._weld_heights(T, late=edge[k])
+            assert nef_cone(T).contains(h)
+            d = [h[u] - 2 * h[v] + h[w]
+                 for u, v, w in zip(edge, edge[1:], edge[2:])]
+            assert d[k - 1] > 0 and d[2 - k] == 0
+            assert junior._is_tent(T, edge, k, h)
+            # not nef, or kinked at both slice points
+            assert not junior._is_tent(T, edge, k, [-x for x in h])
+            assert not junior._is_tent(T, edge, k, junior._weld_heights(T))
 
 
 @pytest.mark.parametrize("n,gens", [(8, [(1, 3)]), (12, [(1, 5), (0, 6)]),

@@ -74,7 +74,7 @@ def test_is_small():
 def test_small_iff_boundary_divisor_zero():
     for A in [cyclic(8, 1, 3), cyclic(2, 1, 0), cyclic(4, 0, 1),
               build_action(2, [(1, 1), (1, 0)]), cyclic(6, 1, 5)]:
-        assert is_small(A) == boundary_divisor(A).is_zero
+        assert is_small(A) == boundary_divisor(build_N2(A)).is_zero
 
 
 def test_build_N2_congruence():
@@ -86,14 +86,14 @@ def test_build_N2_congruence():
 
 
 def test_boundary_divisor_reflection():
-    B = boundary_divisor(cyclic(2, 1, 0))
+    B = boundary_divisor(build_N2(cyclic(2, 1, 0)))
     assert (B.m1, B.m2) == (2, 1)
     assert B.coefficients == (F(1, 2), F(0))
 
 
 def test_boundary_divisor_small_and_trivial():
-    assert boundary_divisor(cyclic(8, 1, 3)).is_zero
-    assert boundary_divisor(build_action(1, [])).is_zero
+    assert boundary_divisor(build_N2(cyclic(8, 1, 3))).is_zero
+    assert boundary_divisor(build_N2(build_action(1, []))).is_zero
 
 
 def test_boundary_divisor_matches_fraction_primitive_points():
@@ -102,7 +102,7 @@ def test_boundary_divisor_matches_fraction_primitive_points():
     for group in CYCLIC_30 + TWO_GENERATORS:
         A = build_action(*group)
         H = hnf_N2(A)
-        B = boundary_divisor(A)
+        B = boundary_divisor(build_N2(A))
         assert (B.m1, B.m2) == (1 / H.primitive((1, 0))[0],
                                 1 / H.primitive((0, 1))[1]), group
 

@@ -104,6 +104,14 @@ def test_realize_rejects_inadmissible():
         realize_resolution(Q, bad, budget=5)
 
 
+def test_realize_rejects_another_groups_resolution():
+    # a fan of Q's group can never equal a resolution in another lattice
+    Q = build_mckay_quiver(cyclic(5, 1, 2))
+    Y = minimal_resolution(build_N2(cyclic(7, 1, 3)))
+    with pytest.raises(ValueError, match="lattice"):
+        realize_resolution(Q, Y, budget=500)
+
+
 def test_realize_trivial_group():
     Q = build_mckay_quiver(build_action(1, []))
     Y = minimal_resolution(Q.N2)
