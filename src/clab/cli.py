@@ -8,6 +8,7 @@ config reproduces the same JSON up to the generated_at timestamp.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -29,18 +30,18 @@ from .junior import (
 from .lattice import cross2, rat_str
 from .quiver import (
     NonGenericThetaError,
+    _fan,
+    _stable_at,
+    _tiling,
     build_mckay_quiver,
-    enumerate_fixed_stable,
     genericity_witness,
     make_theta,
-    moduli_fan,
 )
 from .surface import (
     admissible_ray_sequences,
     boundary_divisor,
     build_action,
     build_N2,
-    enumerate_admissible_resolutions,
     is_small,
     maximal_resolution,
     minimal_resolution,
@@ -57,6 +58,10 @@ FORMATS = ("text", "json", "svg", "dot")
 # 1/15(1,2) and 58 s at 1/16(1,3); at order 18 `sample_generic` can run out
 # of its draws, and the subset-sum table has 2^|G| entries.
 MAX_MODULI_ORDER = 14
+# Cold, `triangulate --resolution max` takes 0.2 s at order 289 (1/17(1,0;0,1))
+# but 10 s at order 3000, and `group` 10 s at order 10^6.  The admissible
+# lists have their own guard, MAX_OPTIONAL_RAYS.
+MAX_ORDER = 300
 
 
 class UsageError(Exception):
@@ -210,7 +215,41 @@ def _fmt_resolution(Y):
     return f"exceptional rays: {rays}\ndiscrepancies: {disc}"
 
 
-def _select_resolution(cfg, N2):
+# 1/84(1,41) has 2^20 admissible resolutions, 4 s and 417 MB to build; a
+# context keeps at most this many rays of them (195 kB at 1/63(1,56))
+KEPT_RAYS = 16384
+
+
+class _GroupContext:
+    """Per-group state, each part built on first use and kept; none of it
+    depends on the generators of `A`."""
+
+    def __init__(self, A):
+        self.A = A
+        self._admissible = None
+
+    N2 = functools.cached_property(lambda self: build_N2(self.A))
+    junior = functools.cached_property(lambda self: build_junior(self.A))
+
+    @property
+    def admissible(self):
+        if self._admissible is None:
+            seqs = admissible_ray_sequences(self.N2)
+            if sum(map(len, seqs)) > KEPT_RAYS:
+                return seqs
+            self._admissible = seqs
+        return self._admissible
+
+
+# keyed by the action, whose equality ignores the generator presentation;
+# one context holds at most about 0.3 MB (92 kB at 1/300(1,7))
+@functools.lru_cache(maxsize=16)
+def _context(A):
+    return _GroupContext(A)
+
+
+def _select_resolution(cfg, ctx):
+    N2 = ctx.N2
     if cfg.resolution == "min":
         return minimal_resolution(N2)
     if cfg.resolution == "max":
@@ -220,7 +259,7 @@ def _select_resolution(cfg, N2):
         idx = int(cfg.resolution)
     except ValueError:
         raise bad from None
-    admissible = admissible_ray_sequences(N2)
+    admissible = ctx.admissible
     if not -len(admissible) <= idx < len(admissible):
         raise bad
     return resolution_from_grid(N2, admissible[idx])
@@ -246,15 +285,17 @@ def _order(n, gens):
 def run(cfg: RunConfig):
     """Execute a config; returns (exit_code, output_text)."""
     # build_action refuses n < 1 itself
-    if cfg.command in ("moduli", "verify") and cfg.n >= 1:
+    if cfg.n >= 1:
+        bound = (MAX_MODULI_ORDER if cfg.command in ("moduli", "verify")
+                 else MAX_ORDER)
         order = _order(cfg.n, cfg.gens)
-        if order > MAX_MODULI_ORDER:
+        if order > bound:
             raise UsageError(f"{cfg.command} supports groups of order at most "
-                             f"{MAX_MODULI_ORDER}; this one has order {order}")
+                             f"{bound}; this one has order {order}")
     A = build_action(cfg.n, cfg.gens)
 
     if cfg.command == "group":
-        facts = _group_facts(A, build_N2(A))
+        facts = _group_facts(A, _context(A).N2)
         b = facts["boundary"]
         text = (f"G of order {facts['order']} (exponent {facts['exponent']}), "
                 f"small={str(facts['small']).lower()}\n"
@@ -264,7 +305,7 @@ def run(cfg: RunConfig):
         return 0, _emit(cfg, facts)
 
     if cfg.command in ("minres", "maxres"):
-        N2 = build_N2(A)
+        N2 = _context(A).N2
         Y = minimal_resolution(N2) if cfg.command == "minres" else maximal_resolution(N2)
         payload = _group_facts(A, N2)
         payload["resolution"] = Y.to_json()
@@ -272,8 +313,9 @@ def run(cfg: RunConfig):
         return 0, _emit(cfg, payload, drawing=_drawing(cfg, Y))
 
     if cfg.command == "resolutions":
-        N2 = build_N2(A)
-        res = enumerate_admissible_resolutions(N2)
+        ctx = _context(A)
+        N2 = ctx.N2
+        res = [resolution_from_grid(N2, grid) for grid in ctx.admissible]
         payload = _group_facts(A, N2)
         payload["count"] = len(res)
         payload["resolutions"] = [Y.to_json() for Y in res]
@@ -285,10 +327,10 @@ def run(cfg: RunConfig):
         return 0, _emit(cfg, payload)
 
     if cfg.command == "triangulate":
-        Y = _select_resolution(cfg, build_N2(A))
-        J = build_junior(A)
+        ctx = _context(A)
+        Y = _select_resolution(cfg, ctx)
         try:
-            T = build_containing_triangulation(J, Y)
+            T = build_containing_triangulation(ctx.junior, Y)
         except InadmissibleResolutionError as e:
             raise UsageError(str(e))
         cert = regularity_certificate(T)
@@ -325,8 +367,9 @@ def run(cfg: RunConfig):
                     f"theta is not generic: characters {list(witness)} sum to zero")
         else:
             theta = sample_generic(A, cfg.seed)
-        fan = moduli_fan(Q, theta)
-        fixed = enumerate_fixed_stable(Q, theta)
+        # the fixed points are the stable supports the fan is cut from
+        fixed = _stable_at(Q, theta)
+        fan = _fan(Q, _tiling(fixed))
         contained = set(fan.grid) <= set(maximal_resolution(Q.N2).grid)
         payload = {
             "action": A.to_json(),

@@ -14,7 +14,8 @@ of the pairs is the lex order of the points.  A surface ray keeps the
 same pair: N2 and N3 both have index |G|, so the N-scaled pair (X, Y) of a
 ray (a, b) in `Resolution.grid` is the pair of its lift (a, b, 1 - a - b)
 to the junior plane.  Fractions are built only where a point leaves the
-module: `JuniorSimplex.points`, `Triangulation.points` and `to_json`.
+module, in `JuniorSimplex.points` and `Triangulation.points`; the exact
+strings of `to_json` come from the pairs, one gcd per coordinate.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from fractions import Fraction
 
 from .lattice import (
     Lattice,
+    _ratio_str,
     lattice_from_generators,
-    rat_str,
     triangle_grid,
     vec,
 )
@@ -147,6 +148,13 @@ class Triangulation:
         """The points (x, y, z), in the order of `grid`."""
         return _points(self.grid, self.lattice.N)
 
+    @functools.cached_property
+    def point_strs(self):
+        """Each point's coordinates as exact strings, in the order of `grid`."""
+        N = self.lattice.N
+        return tuple((_ratio_str(X, N), _ratio_str(Y, N),
+                      _ratio_str(N - X - Y, N)) for X, Y in self.grid)
+
     def edges(self):
         return sorted(self.edge_triangles())
 
@@ -201,7 +209,7 @@ class Triangulation:
 
     def to_json(self):
         return {
-            "points": [[rat_str(c) for c in p] for p in self.points],
+            "points": [list(s) for s in self.point_strs],
             "triangles": [list(t) for t in self.triangles],
         }
 

@@ -36,6 +36,12 @@ def rat_str(q) -> str:
     return str(Fraction(q))
 
 
+def _ratio_str(X, N) -> str:
+    """rat_str(Fraction(X, N)) for integers X and N > 0, by one gcd."""
+    g = gcd(X, N)
+    return str(X // g) if g == N else f"{X // g}/{N // g}"
+
+
 # ---------------------------------------------------------------------------
 # lattices by their residue groups
 

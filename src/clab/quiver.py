@@ -392,12 +392,22 @@ def moduli_fan_cones(Q: McKayQuiver, theta: Theta):
     """The full-dimensional cones C_A of the stable supports, angle ordered,
     with their bounding primitive rays in `Q.N2` as N-scaled integer pairs;
     raises if they fail to tile the quadrant."""
+    return _tiling(_stable_at(Q, theta))
+
+
+def _stable_at(Q, theta):
+    """The stable candidates at a generic theta, from one subset-sum table."""
     if len(theta.values) != Q.order:
         raise ValueError("theta has the wrong number of characters")
-    table = _subset_sums(theta)  # one table serves both tests
+    table = _subset_sums(theta)
     if 0 in table[1:-1]:
         raise NonGenericThetaError("theta is on a wall")
-    cones = [(c, *c.cone) for c in _stable(Q, table) if c.cone is not None]
+    return _stable(Q, table)
+
+
+def _tiling(stable):
+    """The full-dimensional cones of `stable`, checked to tile the quadrant."""
+    cones = [(c, *c.cone) for c in stable if c.cone is not None]
     if not cones:
         raise ModuliFanError("no full-dimensional stable cones")
     cones.sort(key=functools.cmp_to_key(
@@ -415,5 +425,8 @@ def moduli_fan_cones(Q: McKayQuiver, theta: Theta):
 def moduli_fan(Q: McKayQuiver, theta: Theta) -> Resolution:
     """The toric fan of the moduli space of theta-stable constellations, a
     resolution in `Q.N2`."""
-    cones = moduli_fan_cones(Q, theta)
+    return _fan(Q, moduli_fan_cones(Q, theta))
+
+
+def _fan(Q, cones):
     return resolution_from_grid(Q.N2, [cones[0][1]] + [c[2] for c in cones])

@@ -7,8 +7,8 @@ Every ray is a primitive point of N2, which lies on the (1/N)-grid, N =
 integer pair (N a, N b).  Every check, the blow-ups and the bound
 a + b <= 1 of Delta' are integer on the pairs, and the lex order of the
 pairs is the lex order of the rays.  Fractions are built only where a
-caller reads rays: `Resolution.rays`, `discrepancies` and `to_json`, and
-the rational input of `make_resolution`.
+caller reads rays: `Resolution.rays` and `discrepancies`, and the rational
+input of `make_resolution`; `to_json` writes its strings from the pairs.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ from math import gcd
 from .lattice import (
     Lattice,
     _closure,
+    _ratio_str,
     cross2,
     lattice_from_generators,
     primitive_point,
-    rat_str,
     triangle_grid,
 )
 
@@ -142,11 +142,13 @@ class Resolution:
         return self.rays[1:-1]
 
     def to_json(self):
+        N = self.lattice.N
+        inner = self.grid[1:-1]
         return {
-            "rays": [[rat_str(c) for c in r] for r in self.exceptional_rays],
-            "discrepancies": [rat_str(d) for d in self.discrepancies],
-            "v0": [rat_str(c) for c in self.rays[0]],
-            "vs": [rat_str(c) for c in self.rays[-1]],
+            "rays": [[_ratio_str(X, N), _ratio_str(Y, N)] for X, Y in inner],
+            "discrepancies": [_ratio_str(X + Y - N, N) for X, Y in inner],
+            "v0": [_ratio_str(c, N) for c in self.grid[0]],
+            "vs": [_ratio_str(c, N) for c in self.grid[-1]],
         }
 
 

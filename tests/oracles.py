@@ -26,7 +26,9 @@ The slice group of the junior simplex, which the library reads off the
 residues of N3, is recomputed from the action's elements.
 The segment walk, the star subdivision, the walls of the stability space
 and the nef-cone dimension are kept with their own tests after the library
-stopped using them.
+stopped using them.  The pixel positions of the drawings are recomputed by
+the Fraction scaling and `round` the library replaced with integer
+rounding.
 
 Every lattice oracle reads an `HNFLattice`: the canonical Hermite normal
 form basis, with a Fraction solve in it, that the library replaced with
@@ -1098,3 +1100,15 @@ def _rank(rows):
                 rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
         rank += 1
     return rank
+
+
+# ---------------------------------------------------------------------------
+# drawing
+
+
+def fraction_px(x, y, span=F(6, 5)):
+    """The canvas point of (x, y), mapping [0, span]^2 onto a 420-pixel
+    canvas with a 30-pixel margin, y axis up."""
+    sx = 30 + round((420 - 2 * 30) * F(x) / span)
+    sy = 420 - 30 - round((420 - 2 * 30) * F(y) / span)
+    return int(sx), int(sy)

@@ -12,13 +12,18 @@ import pytest
 import clab
 from clab.cli import (
     MAX_MODULI_ORDER,
+    MAX_ORDER,
     RunConfig,
+    _context,
     _order,
     _select_resolution,
     main,
 )
-from clab.surface import build_action, build_N2, enumerate_admissible_resolutions
+from clab.quiver import enumerate_fixed_stable
+from clab.surface import build_action, enumerate_admissible_resolutions
 
+from .test_golden import GOLDEN, digest
+from .test_golden import cases as golden_cases
 from .test_surface import TRIANGULATE_GROUPS
 
 
@@ -79,7 +84,7 @@ def test_triangulate_min_max_skip_admissible_list(capsys, monkeypatch):
     def refuse(N2):
         raise AssertionError("admissible list built for a min/max selector")
 
-    monkeypatch.setattr("clab.cli.enumerate_admissible_resolutions", refuse)
+    _context.cache_clear()
     monkeypatch.setattr("clab.cli.admissible_ray_sequences", refuse)
     for sel in ("min", "max"):
         code, out, err = run_cli(capsys, "--n", "8", "--gens", "1,3",
@@ -107,11 +112,11 @@ def test_index_selector_picks_from_admissible_list():
     # the selector validates only the sequence it picks; that is the
     # resolution at the same index of the validated list
     for n, gens in TRIANGULATE_GROUPS:
-        N2 = build_N2(build_action(n, gens))
-        admissible = enumerate_admissible_resolutions(N2)
+        ctx = _context(build_action(n, gens))
+        admissible = enumerate_admissible_resolutions(ctx.N2)
         for i in range(-len(admissible), len(admissible)):
             cfg = RunConfig("triangulate", n=n, gens=tuple(gens), resolution=str(i))
-            Y = _select_resolution(cfg, N2)
+            Y = _select_resolution(cfg, ctx)
             assert Y == admissible[i]
             assert Y.discrepancies == admissible[i].discrepancies
 
@@ -246,6 +251,32 @@ def test_oversized_requests_refused_before_the_group_is_built(
     assert f"this one has order {order}" in err
 
 
+@pytest.mark.parametrize("command", ["group", "minres", "maxres",
+                                     "resolutions", "triangulate"])
+@pytest.mark.parametrize("n, gens, order", [
+    (1000, "1,0;0,1", 10 ** 6), (MAX_ORDER + 1, "1,7", MAX_ORDER + 1)])
+def test_large_groups_refused_before_the_group_is_built(
+        capsys, monkeypatch, command, n, gens, order):
+    # a kept group context would hold such a group; the order comes from
+    # the generators alone, so the refusal must not build the group
+    def refuse(*args):
+        raise AssertionError("the group was built for a refused request")
+
+    monkeypatch.setattr("clab.cli.build_action", refuse)
+    code, out, err = run_cli(capsys, "--n", str(n), "--gens", gens, command)
+    assert code == 2
+    assert out == ""
+    assert (f"{command} supports groups of order at most {MAX_ORDER}; "
+            f"this one has order {order}") in err
+
+
+def test_group_of_the_largest_order_is_served(capsys):
+    code, out, _ = run_cli(capsys, "--n", str(MAX_ORDER), "--gens", "1,7",
+                           "group", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["order"] == MAX_ORDER
+
+
 def test_order_from_generators_matches_group():
     rng = random.Random(0)
     for _ in range(500):
@@ -269,6 +300,7 @@ def test_each_command_builds_N2_once(monkeypatch, capsys):
     for command in ("group", "minres", "maxres", "resolutions", "triangulate",
                     "moduli", "verify"):
         calls.clear()
+        _context.cache_clear()  # a kept context would serve N2 unbuilt
         code, _, _ = run_cli(capsys, "--n", "8", "--gens", "1,3", command)
         assert code == 0, command
         assert len(calls) == 1, command
@@ -412,3 +444,90 @@ def test_verify_same_under_python_O():
     assert plain["resolutions"]["count"] == 72
     tri = plain["triangulate"]
     assert tri["basic"] and tri["regular"] and tri["amp_restriction_surjective"]
+
+
+def _triangulate_cases():
+    return {label: argv for label, argv in golden_cases().items()
+            if label.startswith("triangulate ")}
+
+
+def test_triangulate_replies_same_cold_and_warm():
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    cases = _triangulate_cases()
+    assert len(cases) == 50
+    for label, argv in cases.items():
+        _context.cache_clear()
+        cold = digest(argv)
+        assert digest(argv) == cold == expected[label], label
+
+
+def test_presentations_of_one_group_share_a_context(capsys):
+    # 1/8(3,1) is 1/8(1,3): (3, 1) = 3 * (1, 3) mod 8
+    _context.cache_clear()
+    replies = {}
+    for gens in ("1,3", "3,1"):
+        code, out, _ = run_cli(capsys, "--n", "8", "--gens", gens,
+                               "triangulate", "--resolution", "0",
+                               "--format", "json")
+        assert code == 0
+        replies[gens] = json.loads(out)
+    info = _context.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+    assert replies["1,3"]["action"]["gens"] == [[1, 3]]
+    assert replies["3,1"]["action"]["gens"] == [[3, 1]]
+    for key in ("resolution", "triangulation", "svg", "dot"):
+        assert replies["1,3"][key] == replies["3,1"][key], key
+
+
+def test_repeated_request_builds_no_group_state(capsys, monkeypatch):
+    calls = []
+    for name in ("build_N2", "build_junior", "admissible_ray_sequences"):
+        real = getattr(clab.cli, name)
+
+        def counted(*args, name=name, real=real):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(clab.cli, name, counted)
+    argv = ("--n", "30", "--gens", "1,11", "triangulate", "--resolution", "7",
+            "--format", "json")
+    _context.cache_clear()
+    first = run_cli(capsys, *argv)
+    assert sorted(calls) == ["admissible_ray_sequences", "build_N2",
+                             "build_junior"]
+    calls.clear()
+    second = run_cli(capsys, *argv)
+    assert calls == []
+    assert first[0] == second[0] == 0
+
+
+def test_context_keeps_only_a_short_admissible_list(capsys, monkeypatch):
+    # 1/30(1,11) has 49 sequences of 455 rays in all
+    A = build_action(30, [(1, 11)])
+    argv = ("--n", "30", "--gens", "1,11", "triangulate", "--resolution",
+            "7", "--format", "json")
+    _context.cache_clear()
+    kept = run_cli(capsys, *argv)
+    assert _context(A)._admissible is not None
+    _context.cache_clear()
+    monkeypatch.setattr(clab.cli, "KEPT_RAYS", 454)
+    for _ in range(2):
+        assert _strip(run_cli(capsys, *argv)) == _strip(kept)
+        assert _context(A)._admissible is None
+
+
+def _strip(reply):
+    code, out, err = reply
+    return code, [ln for ln in out.splitlines()
+                  if not ln.startswith('  "generated_at": ')], err
+
+
+def test_moduli_leaves_stable_cache_unchanged(capsys):
+    # the fixed points are the stable set the fan is cut from; no request
+    # goes through the enumerate_fixed_stable cache
+    before = enumerate_fixed_stable.cache_info()
+    for seed in range(20):
+        code, _, _ = run_cli(capsys, "--n", "7", "--gens", "1,3", "moduli",
+                             "--seed", str(seed), "--format", "json")
+        assert code == 0
+    assert enumerate_fixed_stable.cache_info() == before
