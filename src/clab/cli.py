@@ -15,6 +15,7 @@ import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import gcd
 
 from . import draw
@@ -191,8 +192,32 @@ def _emit(cfg: RunConfig, payload: dict, drawing: str | None = None) -> str:
         body["schema"] = 1
         body["config"] = cfg.to_json()
         body["generated_at"] = datetime.now(timezone.utc).isoformat()
-        return json.dumps(body, sort_keys=True, indent=2) + "\n"
+        return _json(body) + "\n"
     return payload["text"] + "\n"
+
+
+def _json(obj, indent="\n"):
+    """obj as `json.dumps(obj, sort_keys=True, indent=2)` writes it, for a
+    reply's types; that call takes `json`'s slower pure-Python encoder."""
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        brackets = "{}"
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner)
+                 for k, v in sorted(obj.items())]
+    elif isinstance(obj, (list, tuple)):
+        brackets = "[]"
+        items = [_json(v, inner) for v in obj]
+    else:
+        raise TypeError(f"{type(obj).__name__} is not a reply type")
+    if not items:
+        return brackets
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}{indent}{brackets[1]}"
 
 
 def _group_facts(A, N2):
@@ -230,6 +255,8 @@ class _GroupContext:
 
     N2 = functools.cached_property(lambda self: build_N2(self.A))
     junior = functools.cached_property(lambda self: build_junior(self.A))
+    minres = functools.cached_property(lambda s: minimal_resolution(s.N2))
+    maxres = functools.cached_property(lambda s: maximal_resolution(s.N2))
 
     @property
     def admissible(self):
@@ -249,11 +276,10 @@ def _context(A):
 
 
 def _select_resolution(cfg, ctx):
-    N2 = ctx.N2
     if cfg.resolution == "min":
-        return minimal_resolution(N2)
+        return ctx.minres
     if cfg.resolution == "max":
-        return maximal_resolution(N2)
+        return ctx.maxres
     bad = UsageError(f"bad resolution selector {cfg.resolution!r}")
     try:
         idx = int(cfg.resolution)
@@ -262,7 +288,7 @@ def _select_resolution(cfg, ctx):
     admissible = ctx.admissible
     if not -len(admissible) <= idx < len(admissible):
         raise bad
-    return resolution_from_grid(N2, admissible[idx])
+    return resolution_from_grid(ctx.N2, admissible[idx])
 
 
 def _drawing(cfg, Y):
@@ -305,9 +331,9 @@ def run(cfg: RunConfig):
         return 0, _emit(cfg, facts)
 
     if cfg.command in ("minres", "maxres"):
-        N2 = _context(A).N2
-        Y = minimal_resolution(N2) if cfg.command == "minres" else maximal_resolution(N2)
-        payload = _group_facts(A, N2)
+        ctx = _context(A)
+        Y = ctx.minres if cfg.command == "minres" else ctx.maxres
+        payload = _group_facts(A, ctx.N2)
         payload["resolution"] = Y.to_json()
         payload["text"] = _fmt_resolution(Y)
         return 0, _emit(cfg, payload, drawing=_drawing(cfg, Y))

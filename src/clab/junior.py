@@ -1,8 +1,8 @@
 """The SL(3) side: junior simplex, lifts of surface rays, basic triangulations,
 the recursive star-subdivision construction of a projective crepant 3-fold
 containing a chosen surface resolution, the nef cone, and the regularity and
-ample-restriction certificates, built by welding and checked, with an LP
-fallback.
+ample-restriction certificates, replayed from the stellar insertions the
+construction records and checked, with an LP fallback.
 
 All triangulations live on the junior plane {x + y + z = 1}.  Every junior
 point lies on the (1/N)-grid, N = [N3 : Z^3] = |G|, so inside this module a
@@ -137,11 +137,14 @@ def _on_segment(p, a, b):
 @dataclass(frozen=True)
 class Triangulation:
     """Triangles on the junior plane, stored as sorted index triples into
-    `grid`, the lex-sorted N-scaled integer pairs of their points."""
+    `grid`, the lex-sorted N-scaled integer pairs of their points, and the
+    (point, host triangle) indices of the stellar insertions that built
+    them from Delta, if the construction recorded them."""
 
     grid: tuple
     triangles: tuple
     lattice: Lattice = field(repr=False)
+    insertions: tuple = field(default=(), repr=False, compare=False)
 
     @functools.cached_property
     def points(self):
@@ -223,8 +226,8 @@ def make_triangulation(lattice: Lattice, triangles) -> Triangulation:
                                     for t in triangles])
 
 
-def _triangulation(lattice, tris):
-    # tris: triangles of grid pairs
+def _triangulation(lattice, tris, insertions=()):
+    # tris: triangles of grid pairs; insertions: (point, host) of grid pairs
     pts = sorted({p for t in tris for p in t})
     index = {p: i for i, p in enumerate(pts)}
     tri_idx = sorted(tuple(sorted(index[p] for p in t)) for t in tris)
@@ -233,7 +236,8 @@ def _triangulation(lattice, tris):
     for t in tris:
         if _cross(*t) == 0:
             raise ValueError(f"degenerate triangle {t}")
-    T = Triangulation(tuple(pts), tuple(tri_idx), lattice)
+    T = Triangulation(tuple(pts), tuple(tri_idx), lattice, tuple(
+        (index[p], tuple(index[q] for q in host)) for p, host in insertions))
     for e, ts in T.edge_triangles().items():
         if len(ts) > 2:
             raise ValueError(f"edge {e} shared by more than two triangles")
@@ -279,15 +283,17 @@ class RegularityRefusal:
 
 def regularity_certificate(T: Triangulation):
     """Heights strictly convex across every interior wall, or a refusal
-    witness.  Welded heights are checked against every wall row; the LP runs
-    only when T does not weld or the check fails."""
+    witness.  The heights replayed from T's recorded insertions are checked
+    against every wall row; the LP runs only when T has no record or the
+    check fails."""
     rows = T.wall_rows
     if not rows:
         return PLSupportFunction(T, tuple([Fraction(0)] * len(T.grid)))
-    heights = _weld_heights(T)
-    if heights is not None and all(
-            sum(h * c for h, c in zip(heights, r) if c) > 0 for _, r in rows):
-        return PLSupportFunction(T, tuple(heights))
+    if T.insertions:
+        heights = _replay(T, T.insertions)
+        if all(sum(h * c for h, c in zip(heights, r) if c) > 0
+               for _, r in rows):
+            return PLSupportFunction(T, tuple(heights))
     return _regularity_lp(T)
 
 
@@ -356,13 +362,16 @@ def amp_restriction_surjective(T: Triangulation) -> bool:
     equally spaced, so Nef(W) is simplicial with one tent per exceptional
     curve, and h restricts to the tent at s_k modulo affine functions iff
     its second differences there are > 0 at k and 0 elsewhere.  Each tent
-    is welded with s_k held back and checked; its LP runs only on failure."""
+    is replayed from T's recorded insertions with s_k first among the slice
+    points and every later point on the interpolation, and checked; its LP
+    runs only when T has no record or the check fails."""
     edge = _slice_edge(T)
     for k in range(1, len(edge) - 1):
-        h = _weld_heights(T, late=edge[k])
-        if h is None or not _is_tent(T, edge, k, h):
-            if not _tent_lp(T, edge, k):
-                return False
+        if T.insertions and _is_tent(T, edge, k, _replay(
+                T, _tent_insertions(T.insertions, edge, k), late=edge[k])):
+            continue
+        if not _tent_lp(T, edge, k):
+            return False
     return True
 
 
@@ -407,36 +416,20 @@ def _tent_lp(T, edge, k):
     return solve_feasibility(len(T.grid), eqs, wall_ges).feasible
 
 
-def _weld_heights(T, late=None):
-    """Integer heights along a stellar sequence that builds T, or None if T
-    does not weld back to one triangle.  Stellar subdivisions keep a
-    triangulation regular when each new point is set a little below the
-    interpolation (De Loera-Rambau-Santos, Triangulations, 2010, 4.3).  A
-    weld removes p if it is interior of degree 3, or on the boundary with
-    two triangles and between its boundary neighbours, or interior of degree
-    4 on the diagonal ac of its link abcd (its star becomes abc and acd).
-    Points are tried in index order, `late` only when no other point welds.
-    Replayed from the last triangle at 0, p goes 1 below the interpolation
-    from its host (the larger new triangle, area D) after every height is
-    scaled by D M, M = N^2 + 1; after `late`, on it, scaled by D.  Old walls
-    are then >= D M, and a wall of pab against abe gains M |abp| >= M and
-    loses |abe| <= N^2.  The caller checks the heights."""
+def _replay(T, insertions, late=None):
+    """Integer heights along a stellar insertion sequence that builds T.
+    Stellar subdivisions keep a triangulation regular when each new point is
+    set a little below the interpolation (De Loera-Rambau-Santos,
+    Triangulations, 2010, 4.3).  From Delta's vertices at 0, p goes 1 below
+    the interpolation from its host (area D) after every height is scaled by
+    D M, M = N^2 + 1; after `late`, on it, scaled by D.  Old walls are then
+    >= D M, and a wall of pab against abe gains M |abp| >= M and loses
+    |abe| <= N^2.  The caller checks the heights."""
     g = T.grid
-    star = {i: set() for i in range(len(g))}
-    for t in T.triangles:
-        for i in t:
-            star[i].add(t)
-    welds = []
-    while len(star) > 3:
-        n = len(welds)
-        for p in [i for i in star if i != late]:
-            _weld(g, p, star, welds)
-        if len(welds) == n and not (late in star and _weld(g, late, star, welds)):
-            return None
     M = T.lattice.N ** 2 + 1
     h = [0] * len(g)
     pull = True
-    for p, host in reversed(welds):
+    for p, host in insertions:
         a, b, c = (g[i] for i in host)
         lam = (_cross(g[p], b, c), _cross(a, g[p], c), _cross(a, b, g[p]))
         D = sum(lam)
@@ -450,43 +443,20 @@ def _weld_heights(T, late=None):
     return h
 
 
-def _weld(g, p, star, welds):
-    """Weld p if a move applies: update `star` and record (p, host)."""
-    tris = star[p]
-    if not 2 <= len(tris) <= 4:
-        return False
-    link = [tuple(i for i in t if i != p) for t in tris]
-    nbrs = {}
-    for a, b in link:
-        nbrs.setdefault(a, []).append(b)
-        nbrs.setdefault(b, []).append(a)
-    ends = [i for i, js in nbrs.items() if len(js) == 1]
-    if (len(tris) == 3 and not ends) or (
-            len(tris) == 2 and len(ends) == 2
-            and _on_segment(g[p], g[ends[0]], g[ends[1]])):
-        new = [tuple(sorted(nbrs))]
-    elif len(tris) == 4 and not ends:
-        a = link[0][0]
-        b, d = nbrs[a]
-        c = next(i for i in nbrs if i not in (a, b, d))
-        if not _on_segment(g[p], g[a], g[c]):
-            a, b, c, d = b, a, d, c
-        if not (_on_segment(g[p], g[a], g[c]) and
-                _cross(g[a], g[c], g[b]) * _cross(g[a], g[c], g[d]) < 0):
-            return False
-        new = [tuple(sorted(t)) for t in ((a, b, c), (a, c, d))]
-    else:
-        return False
-    for t in tris:
-        for i in t:
-            if i != p:
-                star[i].discard(t)
-    for t in new:
-        for i in t:
-            star[i].add(t)
-    del star[p]
-    welds.append((p, max(new, key=lambda t: abs(_cross(*(g[i] for i in t))))))
-    return True
+def _tent_insertions(insertions, edge, k):
+    """The insertions with s_k = edge[k] first among the slice points, the
+    far edge of one base case coned from its P (which their order leaves
+    as it is); each other is hosted on P and its inserted neighbours."""
+    m = len(edge) - 1
+    inner = set(edge[1:m])
+    i = next(j for j, (p, _) in enumerate(insertions) if p in inner)
+    P, apex, Q = insertions[i][1]
+    line = [apex] + [p for p, _ in insertions[i:i + m - 1]] + [Q]
+    s = line.index(edge[k])
+    tent = [(line[s], (P, apex, Q))] + [
+        (line[j], (P, line[j - 1], line[s] if j < s else Q))
+        for j in range(1, m) if j != s]
+    return insertions[:i] + tuple(tent) + insertions[i + m - 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +472,11 @@ def build_containing_triangulation(J: JuniorSimplex, Y: Resolution) -> Triangula
     far edge); otherwise star-subdivide at the marked point with the smallest
     apex barycentric coordinate and recurse, filling the residual triangle
     with a pulling triangulation on all of its lattice points.
+
+    T records its insertions: each star point in preorder, hosted on the
+    triangle it stars; each far-edge point, walked from the apex, hosted on
+    (P, previous, Q); then each pulled point once, in lex order, hosted on
+    the triangle its pull splits first (on both sides of a shared edge).
     """
     if not is_dominated_by_max(Y):
         raise InadmissibleResolutionError(
@@ -518,8 +493,11 @@ def build_containing_triangulation(J: JuniorSimplex, Y: Resolution) -> Triangula
         if (a % N, b % N, -(a + b) % N) not in residues:
             raise ValueError(f"the lift of {Y.rays[i]} is not a lattice point "
                              "(inconsistent lattices)")
-    tris = _recurse(J.grid, (N, 0), (0, N), (0, 0), list(Y.grid))
-    T = _triangulation(J.lattice, tris)
+    record, pulls = [], {}
+    tris = _recurse(J.grid, (N, 0), (0, N), (0, 0), list(Y.grid), record, pulls)
+    inserted = {p for p, _ in record}
+    record += sorted(i for i in pulls.items() if i[0] not in inserted)
+    T = _triangulation(J.lattice, tris, record)
     if not is_basic(T):
         raise TriangulationError("the triangulation is not basic")
     if {T.grid[i] for i in T._neighbors(T.grid.index((0, 0)))} != set(Y.grid):
@@ -536,15 +514,16 @@ def _points_in_triangle(points, a, b, c):
     return [p for p in points if _in_triangle(p, a, b, c)]
 
 
-def _recurse(points, P, Q, apex, marked):
+def _recurse(points, P, Q, apex, marked, record, pulls):
     # invariants: marked[0] lies on segment(P, apex) (possibly = P),
     # marked[-1] on segment(Q, apex) (possibly = Q), marked ordered by angle
-    # around apex from the P side; `points` are the junior grid pairs
+    # around apex from the P side; `points` are the junior grid pairs.
+    # `record` and `pulls` collect the insertions
     if len(marked) < 2:
         raise TriangulationError("a sub-triangle has fewer than two marked points")
     candidates = [m for m in marked[:-1] if m != P]
     if not candidates:
-        return _base_triangulation(points, P, Q, apex, marked)
+        return _base_triangulation(points, P, Q, apex, marked, record)
     # the apex barycentric coordinate of m is cross(P, Q, m) / cross(P, Q,
     # apex).  The denominator is common to all candidates and positive: e1,
     # e2, e3 turn counter-clockwise, and a sub-triangle replaces P or Q by
@@ -552,19 +531,20 @@ def _recurse(points, P, Q, apex, marked):
     # other one, which keeps the turn
     w = min(candidates, key=lambda m: (_cross(P, Q, m), m))
     k = marked.index(w)
+    record.append((w, (P, Q, apex)))
     parts = []
     if _on_segment(w, P, apex):
         if k != 0:
             raise TriangulationError("a marked point on the P side is not first")
     else:
-        parts += _recurse(points, P, w, apex, marked[: k + 1])
-    parts += _recurse(points, w, Q, apex, marked[k:])
+        parts += _recurse(points, P, w, apex, marked[: k + 1], record, pulls)
+    parts += _recurse(points, w, Q, apex, marked[k:], record, pulls)
     if not _on_segment(w, P, Q):
-        parts += _pull_triangulate(points, (w, P, Q))
+        parts += _pull_triangulate(points, (w, P, Q), pulls)
     return parts
 
 
-def _base_triangulation(points, P, Q, apex, marked):
+def _base_triangulation(points, P, Q, apex, marked, record):
     if marked[0] != P:
         raise TriangulationError("the base case does not start at its vertex")
     pts = _points_in_triangle(points, P, Q, apex)
@@ -577,14 +557,16 @@ def _base_triangulation(points, P, Q, apex, marked):
         raise TriangulationError("base case points not on the far edge")
     if edge[1] != marked[-1]:
         raise TriangulationError("apex neighbor differs from the marked lift")
+    record += [(b, (P, a, Q)) for a, b in itertools.pairwise(edge[:-1])]
     return [(P, a, b) for a, b in itertools.pairwise(edge)]
 
 
-def _pull_triangulate(points, triangle):
+def _pull_triangulate(points, triangle, pulls):
     """Pulling triangulation on all lattice points of a junior-plane
     triangle: points are pulled in lexicographic order, which keeps every
     intermediate subdivision regular; in the plane a full lattice-point
-    triangulation is automatically unimodular."""
+    triangulation is automatically unimodular.  `pulls` keeps each point's
+    first split triangle."""
     pts = _points_in_triangle(points, *triangle)
     tris = [tuple(triangle)]
     for p in pts:
@@ -593,6 +575,7 @@ def _pull_triangulate(points, triangle):
             if p in t or not _in_triangle(p, *t):
                 new.append(t)
                 continue
+            pulls.setdefault(p, t)
             for e in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])):
                 if not _on_segment(p, *e):
                     new.append((p, e[0], e[1]))

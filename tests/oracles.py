@@ -26,7 +26,9 @@ The slice group of the junior simplex, which the library reads off the
 residues of N3, is recomputed from the action's elements.
 The segment walk, the star subdivision, the walls of the stability space
 and the nef-cone dimension are kept with their own tests after the library
-stopped using them.  The pixel positions of the drawings are recomputed by
+stopped using them.  The weld search, which finds a stellar sequence by
+undoing a finished triangulation, is kept as the reference for the
+sequence the library's construction records.  The pixel positions of the drawings are recomputed by
 the Fraction scaling and `round` the library replaced with integer
 rounding.
 
@@ -1112,3 +1114,100 @@ def fraction_px(x, y, span=F(6, 5)):
     sx = 30 + round((420 - 2 * 30) * F(x) / span)
     sy = 420 - 30 - round((420 - 2 * 30) * F(y) / span)
     return int(sx), int(sy)
+
+
+# ---------------------------------------------------------------------------
+# the weld search the library replaced with the insertions its construction
+# records
+
+
+def _grid_cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _grid_on_segment(p, a, b):
+    return (_grid_cross(a, b, p) == 0
+            and (p[0] - a[0]) * (p[0] - b[0]) + (p[1] - a[1]) * (p[1] - b[1]) <= 0)
+
+
+def weld_heights(T, late=None):
+    """Integer heights along a stellar sequence that builds T, or None if T
+    does not weld back to one triangle.  Stellar subdivisions keep a
+    triangulation regular when each new point is set a little below the
+    interpolation (De Loera-Rambau-Santos, Triangulations, 2010, 4.3).  A
+    weld removes p if it is interior of degree 3, or on the boundary with
+    two triangles and between its boundary neighbours, or interior of degree
+    4 on the diagonal ac of its link abcd (its star becomes abc and acd).
+    Points are tried in index order, `late` only when no other point welds.
+    Replayed from the last triangle at 0, p goes 1 below the interpolation
+    from its host (the larger new triangle, area D) after every height is
+    scaled by D M, M = N^2 + 1; after `late`, on it, scaled by D.  Old walls
+    are then >= D M, and a wall of pab against abe gains M |abp| >= M and
+    loses |abe| <= N^2.  The caller checks the heights."""
+    g = T.grid
+    star = {i: set() for i in range(len(g))}
+    for t in T.triangles:
+        for i in t:
+            star[i].add(t)
+    welds = []
+    while len(star) > 3:
+        n = len(welds)
+        for p in [i for i in star if i != late]:
+            _weld(g, p, star, welds)
+        if len(welds) == n and not (late in star and _weld(g, late, star, welds)):
+            return None
+    M = T.lattice.N ** 2 + 1
+    h = [0] * len(g)
+    pull = True
+    for p, host in reversed(welds):
+        a, b, c = (g[i] for i in host)
+        lam = (_grid_cross(g[p], b, c), _grid_cross(a, g[p], c),
+               _grid_cross(a, b, g[p]))
+        D = sum(lam)
+        if D < 0:
+            lam, D = [-x for x in lam], -D
+        interp = sum(x * h[i] for x, i in zip(lam, host))
+        f = D * M if pull else D
+        h = [x * f for x in h]
+        h[p] = M * interp - 1 if pull else interp
+        pull = pull and p != late
+    return h
+
+
+def _weld(g, p, star, welds):
+    """Weld p if a move applies: update `star` and record (p, host)."""
+    tris = star[p]
+    if not 2 <= len(tris) <= 4:
+        return False
+    link = [tuple(i for i in t if i != p) for t in tris]
+    nbrs = {}
+    for a, b in link:
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
+    ends = [i for i, js in nbrs.items() if len(js) == 1]
+    if (len(tris) == 3 and not ends) or (
+            len(tris) == 2 and len(ends) == 2
+            and _grid_on_segment(g[p], g[ends[0]], g[ends[1]])):
+        new = [tuple(sorted(nbrs))]
+    elif len(tris) == 4 and not ends:
+        a = link[0][0]
+        b, d = nbrs[a]
+        c = next(i for i in nbrs if i not in (a, b, d))
+        if not _grid_on_segment(g[p], g[a], g[c]):
+            a, b, c, d = b, a, d, c
+        if not (_grid_on_segment(g[p], g[a], g[c]) and
+                _grid_cross(g[a], g[c], g[b]) * _grid_cross(g[a], g[c], g[d]) < 0):
+            return False
+        new = [tuple(sorted(t)) for t in ((a, b, c), (a, c, d))]
+    else:
+        return False
+    for t in tris:
+        for i in t:
+            if i != p:
+                star[i].discard(t)
+    for t in new:
+        for i in t:
+            star[i].add(t)
+    del star[p]
+    welds.append((p, max(new, key=lambda t: abs(_grid_cross(*(g[i] for i in t))))))
+    return True

@@ -15,6 +15,7 @@ from clab.cli import (
     MAX_ORDER,
     RunConfig,
     _context,
+    _json,
     _order,
     _select_resolution,
     main,
@@ -501,6 +502,27 @@ def test_repeated_request_builds_no_group_state(capsys, monkeypatch):
     assert first[0] == second[0] == 0
 
 
+def test_repeated_boundary_requests_reuse_their_resolutions(capsys,
+                                                          monkeypatch):
+    calls = []
+    for name in ("minimal_resolution", "maximal_resolution"):
+        real = getattr(clab.cli, name)
+        monkeypatch.setattr(clab.cli, name, lambda N2, name=name, real=real:
+                            calls.append(name) or real(N2))
+    requests = [("triangulate", "--resolution", "min"),
+                ("triangulate", "--resolution", "max"), ("minres",),
+                ("maxres",)]
+    _context.cache_clear()
+    first = [run_cli(capsys, "--n", "30", "--gens", "1,11", *r)
+             for r in requests]
+    assert sorted(calls) == ["maximal_resolution", "minimal_resolution"]
+    calls.clear()
+    second = [run_cli(capsys, "--n", "30", "--gens", "1,11", *r)
+              for r in requests]
+    assert calls == []
+    assert first == second and all(code == 0 for code, _, _ in first)
+
+
 def test_context_keeps_only_a_short_admissible_list(capsys, monkeypatch):
     # 1/30(1,11) has 49 sequences of 455 rays in all
     A = build_action(30, [(1, 11)])
@@ -531,3 +553,24 @@ def test_moduli_leaves_stable_cache_unchanged(capsys):
                              "--seed", str(seed), "--format", "json")
         assert code == 0
     assert enumerate_fixed_stable.cache_info() == before
+
+
+def test_reply_encoder_matches_json_dumps(capsys):
+    # every JSON reply of the golden sweep, then the corners of each type
+    replies = 0
+    for argv in golden_cases().values():
+        if "--format" in argv:
+            continue
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        if code != 2:
+            replies += 1
+            assert out == json.dumps(json.loads(out), sort_keys=True,
+                                     indent=2) + "\n"
+    assert replies > 100
+    odd = {"b": [], "a": {}, "\u00e9\n\"\\": ["\u00fc\u2603", -3, True, False,
+                                              None, (1, [2, ()])],
+           "": [{"x": 0, "X": ""}]}
+    assert _json(odd) == json.dumps(odd, sort_keys=True, indent=2)
+    for bad in (1.5, {1: 2}, {"a": {1, 2}}, [b"x"]):
+        with pytest.raises(TypeError):
+            _json(bad)

@@ -5,7 +5,7 @@ Each case is one `clab` command line.  A JSON reply is hashed byte for byte
 with its `generated_at` line removed, an SVG or DOT reply whole; a usage
 error is kept as its message.  The hashes in `golden_sweep.json` pin the
 output of every `triangulate` selector (also on two groups whose slice has
-two amp tents, with one resolution whose certificates come from the LPs),
+two amp tents, with one resolution the weld search could not certify),
 every admissible list, every seeded `verify` and `moduli` report, the
 `group`, `minres` and `maxres` reports of every group in the sweep, `moduli`
 at explicit thetas (integers, integral fractions such as -2/1, proper
@@ -33,7 +33,8 @@ TRIANGULATE_GROUPS = ("24:1,7", "12:1,7;0,6", "12:1,5;0,6", "30:1,11",
                       "18:1,5;0,9")
 SELECTORS = ("min", "max", "0", "1", "5", "17", "-1")
 # slices with m = 3; index 15 of 12:1,1;0,4 does not weld back to the junior
-# simplex, so its regularity and amp verdicts come from the LPs
+# simplex (the weld search of tests/oracles.py sticks), but its recorded
+# insertions certify it like every other case
 M3_GROUPS = {"9:1,2;0,3": SELECTORS, "12:1,1;0,4": SELECTORS + ("15",)}
 VERIFY_GROUPS = ("4:1,3", "2:1,1;1,0", "5:1,2", "6:2,1;0,3", "7:1,3", "8:1,3",
                  "4:1,1;2,0", "8:1,2", "9:3,1", "10:1,3")

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 from math import gcd
 
@@ -259,6 +260,7 @@ def test_regularity_refusal_on_spiral(monkeypatch):
         (a3, a1, b3), (a1, b3, b1),
     ]
     T = make_triangulation(L, spiral)
+    assert T.insertions == ()
     lps = []
     monkeypatch.setattr(junior, "solve_feasibility",
                         lambda *args: lps.append(args) or solve_feasibility(*args))
@@ -279,7 +281,7 @@ def test_regularity_refusal_on_spiral(monkeypatch):
 def _spiral_twin():
     """The spiral's combinatorics on a larger outer triangle, with the inner
     triangle placed so that it is regular.  Every inner point has degree 4
-    and lies on no diagonal of its link, so it does not weld."""
+    and lies on no diagonal of its link, so it does not weld either."""
     L = lattice_from_generators(
         3, [(F(1, 8), 0, F(-1, 8)), (0, F(1, 8), F(-1, 8))]
     )
@@ -299,9 +301,9 @@ def _spiral_twin():
 
 def test_regularity_certificate_rechecks_heights(monkeypatch):
     # the certificate check is a raise, so it holds under python -O too.  The
-    # twin does not weld, so its certificate comes from the LP
+    # twin records no insertions, so its certificate comes from the LP
     T = _spiral_twin()
-    assert junior._weld_heights(T) is None
+    assert T.insertions == () and oracles.weld_heights(T) is None
     # certified heights, raised at a point whose entry in the first wall row
     # is negative until that wall is no longer strictly convex
     good = list(regularity_certificate(T).heights)
@@ -523,7 +525,7 @@ def _count_lps(monkeypatch):
 
 def test_constructed_verdicts_match_lp_verdicts(monkeypatch):
     # every admissible resolution of every group of order <= 12, with up to
-    # 11 tents on the slice (m = 12); all of them weld, so no LP runs
+    # 11 tents on the slice (m = 12); all are certified without an LP
     cases = [(A, Y) for A in _subgroups(12)
              for Y in enumerate_admissible_resolutions(build_N2(A))]
     assert len(cases) == 241
@@ -557,19 +559,82 @@ def test_no_lp_on_the_triangulate_groups(monkeypatch):
     assert lps == []
 
 
-def test_unwelded_m3_case_falls_back_to_the_lps(monkeypatch):
+def test_unwelded_m3_case_takes_no_lp(monkeypatch):
     # index 15 of 1/12(1,1;0,4) sticks with seven points left, none of which
-    # a move welds: both certificates and both tents come from the LPs
+    # a move welds; its recorded insertions certify it and both tents
     A = build_action(12, [(1, 1), (0, 4)])
     Y = enumerate_admissible_resolutions(build_N2(A))[15]
     T = build_containing_triangulation(build_junior(A), Y)
     assert len(junior._slice_edge(T)) == 4  # m = 3: two tents
-    assert junior._weld_heights(T) is None
+    assert oracles.weld_heights(T) is None
     lps = _count_lps(monkeypatch)
-    assert isinstance(regularity_certificate(T), PLSupportFunction)
-    assert len(lps) == 1
-    assert amp_restriction_surjective(T)
-    assert len(lps) == 3
+    verdicts = (isinstance(regularity_certificate(T), PLSupportFunction),
+                amp_restriction_surjective(T))
+    assert lps == []
+    assert verdicts == _lp_verdicts(T) == (True, True)
+
+
+@pytest.mark.parametrize("n,gens,count,unwelded", [
+    (12, [(1, 1), (0, 4)], 81, 3), (10, [(1, 2), (0, 2)], 281, 6)])
+def test_recorded_insertions_certify_without_lps(monkeypatch, n, gens, count,
+                                                 unwelded):
+    # on the resolutions the weld search does not reach, the verdicts are
+    # the LPs' verdicts
+    A = build_action(n, gens)
+    J = build_junior(A)
+    Ts = [build_containing_triangulation(J, Y)
+          for Y in enumerate_admissible_resolutions(build_N2(A))]
+    assert len(Ts) == count
+    lps = _count_lps(monkeypatch)
+    for T in Ts:
+        assert isinstance(regularity_certificate(T), PLSupportFunction)
+        assert amp_restriction_surjective(T)
+    assert lps == []
+    stuck = [T for T in Ts if oracles.weld_heights(T) is None]
+    assert len(stuck) == unwelded
+    for T in stuck:
+        assert _lp_verdicts(T) == (True, True)
+
+
+def _stellar_rebuild(T):
+    """T's insertions applied as stellar subdivisions to Delta, or None if a
+    host is not a triangle of the subdivision at its turn."""
+    g, N = T.grid, T.lattice.N
+    tris = {tuple(sorted(g.index(v) for v in ((N, 0), (0, N), (0, 0))))}
+    for p, host in T.insertions:
+        if tuple(sorted(host)) not in tris:
+            return None
+        for t in [t for t in tris if p not in t and junior._in_triangle(
+                g[p], *(g[i] for i in t))]:
+            tris.remove(t)
+            tris.update(tuple(sorted((p, *e)))
+                        for e in itertools.combinations(t, 2)
+                        if not junior._on_segment(g[p], *(g[i] for i in e)))
+    return tris
+
+
+def test_recorded_insertions_rebuild_the_triangulation():
+    # each point once, into a triangle of the subdivision so far: the record
+    # is a stellar sequence, and it ends at T
+    for n, gens in [(12, [(1, 1), (0, 4)]), (9, [(1, 2), (0, 3)]),
+                    *TRIANGULATE_GROUPS]:
+        A = build_action(n, gens)
+        J = build_junior(A)
+        for Y in enumerate_admissible_resolutions(build_N2(A))[::3]:
+            T = build_containing_triangulation(J, Y)
+            points = [p for p, _ in T.insertions]
+            assert len(points) == len(set(points)) == len(T.grid) - 3
+            assert _stellar_rebuild(T) == set(T.triangles)
+
+
+def test_insertions_do_not_change_equality():
+    A = build_action(8, [(1, 3)])
+    J = build_junior(A)
+    T = build_containing_triangulation(J, maximal_resolution(build_N2(A)))
+    twin = make_triangulation(
+        J.lattice, [[T.points[i] for i in t] for t in T.triangles])
+    assert T.insertions and twin.insertions == ()
+    assert T == twin and hash(T) == hash(twin)
 
 
 def test_constructed_heights_are_checked(monkeypatch):
@@ -577,8 +642,8 @@ def test_constructed_heights_are_checked(monkeypatch):
     A = build_action(12, [(1, 7), (0, 6)])
     T = build_containing_triangulation(
         build_junior(A), maximal_resolution(build_N2(A)))
-    monkeypatch.setattr(junior, "_weld_heights",
-                        lambda T, late=None: [0] * len(T.grid))
+    monkeypatch.setattr(junior, "_replay",
+                        lambda T, insertions, late=None: [0] * len(T.grid))
     lps = _count_lps(monkeypatch)
     cert = regularity_certificate(T)
     assert isinstance(cert, PLSupportFunction) and len(lps) == 1
@@ -597,7 +662,9 @@ def test_tent_heights_restrict_to_the_tent():
         edge = junior._slice_edge(T)
         assert len(edge) == 4
         for k in (1, 2):
-            h = junior._weld_heights(T, late=edge[k])
+            h = junior._replay(
+                T, junior._tent_insertions(T.insertions, edge, k),
+                late=edge[k])
             assert nef_cone(T).contains(h)
             d = [h[u] - 2 * h[v] + h[w]
                  for u, v, w in zip(edge, edge[1:], edge[2:])]
@@ -605,7 +672,8 @@ def test_tent_heights_restrict_to_the_tent():
             assert junior._is_tent(T, edge, k, h)
             # not nef, or kinked at both slice points
             assert not junior._is_tent(T, edge, k, [-x for x in h])
-            assert not junior._is_tent(T, edge, k, junior._weld_heights(T))
+            assert not junior._is_tent(
+                T, edge, k, junior._replay(T, T.insertions))
 
 
 @pytest.mark.parametrize("n,gens", [(8, [(1, 3)]), (12, [(1, 5), (0, 6)]),

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import clab
@@ -76,3 +79,21 @@ def test_public_functions_are_called_or_exported():
         and node.name not in read and node.name not in clab.__all__
     ]
     assert found == []
+
+
+def test_cli_import_loads_every_benchmark_layer():
+    # perfbench/run.py imports clab.cli alone and then reads every layer the
+    # tracer lists from sys.modules, so each must be loaded by that import
+    tree = ast.parse((SRC.parents[1] / "perfbench" / "tracing.py").read_text(
+        encoding="utf-8"))
+    layers = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(_name(t) == "LAYERS" for t in node.targets))
+    assert len(layers) == 8
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, clab.cli; print(*sorted("
+         "m[5:] for m in sys.modules if m.startswith('clab.')))"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert set(layers) <= set(proc.stdout.split())
