@@ -247,7 +247,8 @@ KEPT_RAYS = 16384
 
 class _GroupContext:
     """Per-group state, each part built on first use and kept; none of it
-    depends on the generators of `A`."""
+    depends on the generators of `A`, apart from the presentation that
+    `quiver.action` reports."""
 
     def __init__(self, A):
         self.A = A
@@ -255,6 +256,7 @@ class _GroupContext:
 
     N2 = functools.cached_property(lambda self: build_N2(self.A))
     junior = functools.cached_property(lambda self: build_junior(self.A))
+    quiver = functools.cached_property(lambda s: build_mckay_quiver(s.A))
     minres = functools.cached_property(lambda s: minimal_resolution(s.N2))
     maxres = functools.cached_property(lambda s: maximal_resolution(s.N2))
 
@@ -381,7 +383,7 @@ def run(cfg: RunConfig):
                         if cfg.format in ("svg", "dot") else None)
 
     if cfg.command == "moduli":
-        Q = build_mckay_quiver(A)
+        Q = _context(A).quiver
         if cfg.theta is not None:
             if len(cfg.theta) != A.order:
                 raise UsageError(
@@ -415,8 +417,11 @@ def run(cfg: RunConfig):
         return code, _emit(cfg, payload, drawing=_drawing(cfg, fan))
 
     if cfg.command == "verify":
-        rep = verify_main_theorem(A, cfg.samples, cfg.budget, seed=cfg.seed)
+        rep = verify_main_theorem(_context(A).quiver, cfg.samples, cfg.budget,
+                                  seed=cfg.seed)
         payload = rep.to_json()
+        # the context's quiver may carry another presentation of the group
+        payload["action"] = A.to_json()
         lines = [
             f"only-if audit: {cfg.samples} samples, "
             f"{payload['only_if']['violations']} containment violations",

@@ -38,13 +38,15 @@ class McKayQuiver:
     shifting by the class of (1,0) and a y-arrow shifting by the class of
     (0,1).
 
-    A pair (u, v) mod n is the character g = (a, b) -> zeta_n^(u a + v b),
-    and `table` maps every pair in [0, n)^2 to the index of its character,
-    so each lookup is one reduction mod n."""
+    A pair (u, v) is the character g = (a, b) -> zeta_n^(u a + v b).  Every
+    weight of G is a multiple of n / e, for e its exponent, so the character
+    depends on the pair mod e only: `table` maps every pair in [0, e)^2 to
+    the index of its character, and each lookup is one reduction mod e."""
 
     action: AbelianAction
     vertices: tuple  # the least pair of each character, sorted
     table: dict = field(compare=False, repr=False)
+    exponent: int = field(compare=False, repr=False)
 
     @property
     def order(self):
@@ -57,8 +59,8 @@ class McKayQuiver:
         return build_N2(self.action)
 
     def vertex_index(self, u, v):
-        n = self.action.n
-        return self.table[u % n, v % n]
+        e = self.exponent
+        return self.table[u % e, v % e]
 
     def arrow_head(self, tail: int, kind: str) -> int:
         u, v = self.vertices[tail]
@@ -79,16 +81,17 @@ class McKayQuiver:
 
 
 def build_mckay_quiver(A: AbelianAction) -> McKayQuiver:
-    """The character table in one pass over (u, v) mod n: two pairs are one
-    character iff they pair equally with every generator of G.  The pairs
-    come in lexicographic order, so the first pair of each character is its
-    least, and the vertices come out sorted."""
-    n = A.n
+    """The character table in one pass over (u, v) mod e, the exponent of G:
+    two pairs are one character iff they pair equally with every generator
+    of G.  The pairs come in lexicographic order, so the first pair of each
+    character is its least, and the vertices come out sorted; reducing a
+    pair mod e keeps its character, so the least pair lies in [0, e)^2."""
+    n, e = A.n, A.exponent
     index = {}  # pairing with the generators -> vertex index
     vertices = []
     table = {}
-    for u in range(n):
-        for v in range(n):
+    for u in range(e):
+        for v in range(e):
             key = tuple((u * a + v * b) % n for a, b in A.gens)
             if key not in index:
                 index[key] = len(vertices)
@@ -97,7 +100,7 @@ def build_mckay_quiver(A: AbelianAction) -> McKayQuiver:
     if len(vertices) != A.order:
         raise ValueError(f"the action has {len(vertices)} characters, "
                          f"not its order {A.order}")
-    return McKayQuiver(A, tuple(vertices), table)
+    return McKayQuiver(A, tuple(vertices), table, e)
 
 
 ARROW_STEP = {"x": (1, 0), "y": (0, 1)}
@@ -332,13 +335,30 @@ def is_generic(theta: Theta) -> bool:
     return 0 not in _subset_sums(theta)[1:-1]
 
 
+def _certify(theta: Theta) -> bool:
+    """Whether theta passes the genericity certificate.  If it does, the
+    table that certified it stays on theta, outside its fields, until the
+    first stable-support scan at theta takes it, so no cache or outcome
+    holding theta keeps it."""
+    table = _subset_sums(theta)
+    if 0 in table[1:-1]:
+        return False
+    object.__setattr__(theta, "_table", table)
+    return True
+
+
 def _stable(Q: McKayQuiver, table):
     """The candidates of Q that are stable at the theta with subset-sum
-    table `table`: theta is positive on each of their stability masks, i.e.
-    none of them is a mask where the table is <= 0."""
-    bad = {mask for mask, t in enumerate(table) if t <= 0}
-    return tuple(c for c in fixed_candidates(Q)
-                 if bad.isdisjoint(c.stability_masks))
+    table `table`: theta is positive on each of their stability masks.  The
+    scan of a candidate stops at its first mask where the table is <= 0."""
+    out = []
+    for c in fixed_candidates(Q):
+        for mask in c.stability_masks:
+            if table[mask] <= 0:
+                break
+        else:
+            out.append(c)
+    return tuple(out)
 
 
 # bounded; the moduli fan does not go through this cache, so the thetas
@@ -348,7 +368,7 @@ def enumerate_fixed_stable(Q: McKayQuiver, theta: Theta):
     """All torus-fixed theta-stable supports."""
     if len(theta.values) != Q.order:
         raise ValueError("theta has the wrong number of characters")
-    return _stable(Q, _subset_sums(theta))
+    return _stable(Q, theta.__dict__.pop("_table", None) or _subset_sums(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -396,12 +416,15 @@ def moduli_fan_cones(Q: McKayQuiver, theta: Theta):
 
 
 def _stable_at(Q, theta):
-    """The stable candidates at a generic theta, from one subset-sum table."""
+    """The stable candidates at a generic theta, from one subset-sum table:
+    the one `_certify` left on it, else a new one."""
     if len(theta.values) != Q.order:
         raise ValueError("theta has the wrong number of characters")
-    table = _subset_sums(theta)
-    if 0 in table[1:-1]:
-        raise NonGenericThetaError("theta is on a wall")
+    table = theta.__dict__.pop("_table", None)
+    if table is None:
+        table = _subset_sums(theta)
+        if 0 in table[1:-1]:
+            raise NonGenericThetaError("theta is on a wall")
     return _stable(Q, table)
 
 
@@ -429,4 +452,9 @@ def moduli_fan(Q: McKayQuiver, theta: Theta) -> Resolution:
 
 
 def _fan(Q, cones):
-    return resolution_from_grid(Q.N2, [cones[0][1]] + [c[2] for c in cones])
+    return resolution_from_grid(Q.N2, _grid(cones))
+
+
+def _grid(cones):
+    """The rays bounding the tiling `cones`, as the grid of their fan."""
+    return (cones[0][1], *(c[2] for c in cones))

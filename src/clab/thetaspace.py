@@ -12,10 +12,12 @@ from .quiver import (
     McKayQuiver,
     ModuliFanError,
     Theta,
-    build_mckay_quiver,
+    _certify,
+    _grid,
     is_generic,
     make_theta,
     moduli_fan,
+    moduli_fan_cones,
 )
 from .surface import (
     AbelianAction,
@@ -23,6 +25,7 @@ from .surface import (
     enumerate_admissible_resolutions,
     is_dominated_by_max,
     maximal_resolution,
+    resolution_from_grid,
 )
 
 
@@ -39,17 +42,20 @@ _SAMPLE_ATTEMPTS = 1000
 
 def sample_generic(A: AbelianAction, seed: int) -> Theta:
     """Deterministic integer-valued zero-sum theta passing the genericity
-    certificate; draws are retried with the same stream until certified."""
+    certificate; draws are retried with the same stream until certified.
+    The theta keeps the subset-sum table that certified it until its first
+    stable-support scan (`quiver._certify`)."""
     m = A.order
     if m == 1:
         return make_theta([0])
     rng = random.Random(seed)
     bound = 20 * m
+    width = 2 * bound + 1  # the draws of randint(-bound, bound), in one call
     for _ in range(_SAMPLE_ATTEMPTS):
-        vals = [rng.randint(-bound, bound) for _ in range(m - 1)]
+        vals = [rng.randrange(width) - bound for _ in range(m - 1)]
         vals.append(-sum(vals))
         theta = make_theta(vals)
-        if is_generic(theta):
+        if _certify(theta):
             return theta
     raise RetryBudgetError(f"no generic theta found in {_SAMPLE_ATTEMPTS} draws")
 
@@ -79,10 +85,22 @@ class RealizeOutcome:
         }
 
 
+def _checked_fan(Q, theta, fans):
+    """moduli_fan(Q, theta), validating each grid once: `fans` maps the
+    grids validated so far to their resolutions."""
+    grid = _grid(moduli_fan_cones(Q, theta))
+    fan = fans.get(grid)
+    if fan is None:
+        fan = fans[grid] = resolution_from_grid(Q.N2, grid)
+    return fan
+
+
 def realize_resolution(Q: McKayQuiver, Y: Resolution, budget: int,
-                       seed: int = 0) -> RealizeOutcome:
+                       seed: int = 0, *, fans=None) -> RealizeOutcome:
     """Search for a certified-generic theta with moduli_fan(Q, theta) = Y by
-    seeded sampling; Y must be an admissible resolution in `Q.N2`."""
+    seeded sampling; Y must be an admissible resolution in `Q.N2`.  `fans`,
+    if given, maps the grids an audit has validated to their resolutions,
+    and gains the ones this search validates."""
     if budget < 1:
         raise ValueError("budget must be at least 1")
     if Y.lattice != Q.N2:
@@ -91,17 +109,20 @@ def realize_resolution(Q: McKayQuiver, Y: Resolution, budget: int,
     if not is_dominated_by_max(Y):
         raise ValueError("resolution is not admissible (not dominated by the "
                          "maximal resolution)")
-    fans = set()
+    if fans is None:
+        fans = {}
+    seen = set()
     for k in range(budget):
         theta = sample_generic(Q.action, derive_seed(seed, k))
-        fan = moduli_fan(Q, theta)
-        fans.add(fan.grid)
+        fan = _checked_fan(Q, theta, fans)
+        seen.add(fan.grid)
         if fan == Y:
+            # from a new subset-sum table and a new validation of the grid
             if moduli_fan(Q, theta) != Y:
                 raise ModuliFanError("the moduli fan of a realizing theta "
                                      "changed on a re-run")
-            return RealizeOutcome(Y, theta, k + 1, tuple(sorted(fans)))
-    return RealizeOutcome(Y, None, budget, tuple(sorted(fans)))
+            return RealizeOutcome(Y, theta, k + 1, tuple(sorted(seen)))
+    return RealizeOutcome(Y, None, budget, tuple(sorted(seen)))
 
 
 @dataclass(frozen=True)
@@ -144,28 +165,30 @@ class RealizationReport:
         }
 
 
-def verify_main_theorem(A: AbelianAction, samples: int, budget: int,
+def verify_main_theorem(Q: McKayQuiver, samples: int, budget: int,
                         seed: int = 0) -> RealizationReport:
     """(i) only-if audit: every sampled generic fan uses only rays of the
     maximal resolution; (ii) if audit: every admissible resolution is
-    realized by some sampled generic theta within the budget."""
+    realized by some sampled generic theta within the budget.  Each distinct
+    fan is validated once per audit."""
     if samples < 0:
         raise ValueError("samples must be at least 0")
-    Q = build_mckay_quiver(A)
+    A = Q.action
     N2 = Q.N2
     max_rays = set(maximal_resolution(N2).grid)
-    fans = set()
+    fans = {}
     violations = []
     counts = []
     for k in range(samples):
         theta = sample_generic(A, derive_seed(seed, k))
-        fan = moduli_fan(Q, theta)
-        fans.add(fan.grid)
+        fan = _checked_fan(Q, theta, fans)
         counts.append(len(fan.grid) - 1)
         if not set(fan.grid) <= max_rays:
             violations.append((theta.to_json(), fan.to_json()))
+    sampled = tuple(sorted(fans))  # the only-if grids, before realization adds
     admissible = enumerate_admissible_resolutions(N2)
-    outcomes = [realize_resolution(Q, Y, budget, derive_seed(seed, 10**6 + j))
+    outcomes = [realize_resolution(Q, Y, budget, derive_seed(seed, 10**6 + j),
+                                   fans=fans)
                 for j, Y in enumerate(admissible)]
     return RealizationReport(
         action=A,
@@ -173,7 +196,7 @@ def verify_main_theorem(A: AbelianAction, samples: int, budget: int,
         samples=samples,
         budget=budget,
         containment_violations=tuple(violations),
-        sampled_fans=tuple(sorted(fans)),
+        sampled_fans=sampled,
         outcomes=tuple(outcomes),
         fixed_point_counts=tuple(counts),
     )

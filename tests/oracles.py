@@ -11,7 +11,7 @@ masks and the McKay vertices (as cosets of the annihilator of the element
 pairing) are recomputed by the exhaustive searches the library replaced
 with direct constructions, and the stable supports of a theta by the
 per-candidate test, on theta summed over each mask, that the library
-replaced with one set-disjointness test per candidate.  The simplex itself,
+replaced with a scan of one subset-sum table per theta.  The simplex itself,
 the resolution check, the primitive points, lattice-basis determinants and
 lifts to the junior simplex, the triangle scan (here of any rational
 triangle), the maximal rays (here by a primitive-point test per point), the
@@ -23,7 +23,10 @@ checked by an area sum and a separating-axis test on its Fraction points.
 A Farkas vector of the simplex, which decides systems over x >= 0, is
 checked by `check_farkas`.
 The slice group of the junior simplex, which the library reads off the
-residues of N3, is recomputed from the action's elements.
+residues of N3, is recomputed from the action's elements.  The McKay
+character table is kept as the library first built it, over every pair mod
+n, and the theta sampler's stream as first drawn, by `randint`, with the
+genericity certificate on `theta_of_masks`.
 The segment walk, the star subdivision, the walls of the stability space
 and the nef-cone dimension are kept with their own tests after the library
 stopped using them.  The weld search, which finds a stellar sequence by
@@ -39,13 +42,20 @@ lattice's residues.
 """
 
 import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction as F
 from math import ceil, floor, gcd, lcm
 
 from clab.lattice import Lattice, cross2, is_member, lattice_from_generators
 from clab.linprog import Feasibility, solve_feasibility
-from clab.quiver import ARROW_STEP, Theta, build_mckay_quiver, fixed_candidates
+from clab.quiver import (
+    ARROW_STEP,
+    Theta,
+    build_mckay_quiver,
+    fixed_candidates,
+    make_theta,
+)
 from clab.surface import (
     make_resolution,
     maximal_resolution,
@@ -494,6 +504,25 @@ def characters_by_annihilator(A):
     return tuple(vertices), canon
 
 
+def character_table_mod_n(A):
+    """The McKay vertices of A and the map from every pair in [0, n)^2 to
+    the index of its character, in one pass over the pairs in lexicographic
+    order: two pairs are one character iff they pair equally with every
+    generator."""
+    n = A.n
+    index = {}
+    vertices = []
+    table = {}
+    for u in range(n):
+        for v in range(n):
+            key = tuple((u * a + v * b) % n for a, b in A.gens)
+            if key not in index:
+                index[key] = len(vertices)
+                vertices.append((u, v))
+            table[u, v] = index[key]
+    return tuple(vertices), table
+
+
 def maximal_rays_by_primitive_filter(N2, points):
     """The rays of the maximal resolution of the HNFLattice N2, given the
     points of N2 in Delta': those that are their own primitive point,
@@ -564,6 +593,23 @@ def theta_of_masks(theta: Theta):
     vals = theta.values
     return [sum(v for i, v in enumerate(vals) if mask >> i & 1)
             for mask in range(1 << len(vals))]
+
+
+def sample_by_randint(A, seed):
+    """The values of the theta `sample_generic(A, seed)` draws, and how many
+    draws it took: integers in [-20 |G|, 20 |G|] by `randint`, the last one
+    closing the sum to zero, until theta is nonzero on every nonempty proper
+    subset of characters."""
+    m = A.order
+    if m == 1:
+        return (0,), 0
+    rng = random.Random(seed)
+    bound = 20 * m
+    for draws in itertools.count(1):
+        vals = [rng.randint(-bound, bound) for _ in range(m - 1)]
+        vals.append(-sum(vals))
+        if 0 not in theta_of_masks(make_theta(vals))[1:-1]:
+            return tuple(vals), draws
 
 
 def stable_by_masks(Q, theta: Theta):

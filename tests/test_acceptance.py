@@ -81,7 +81,7 @@ def test_criterion_2_a_series(capsys):
         assert rmin == rmax
         assert len(rmin.exceptional_rays) == r - 1
         assert all(d == 0 for d in rmin.discrepancies)
-        rep = verify_main_theorem(A, samples=50, budget=1000, seed=0)
+        rep = verify_main_theorem(build_mckay_quiver(A), samples=50, budget=1000, seed=0)
         assert rep.passed
         assert rep.sampled_fans == (rmin.grid,)
         assert all(c == r for c in rep.fixed_point_counts)
@@ -103,7 +103,7 @@ def test_criterion_3_reflection_case(capsys):
     rmax = maximal_resolution(N2)
     assert rmin.exceptional_rays == ()  # the quotient is smooth
     assert rmax == rmin  # Y_max is the identity resolution
-    rep = verify_main_theorem(A, samples=50, budget=1000, seed=0)
+    rep = verify_main_theorem(build_mckay_quiver(A), samples=50, budget=1000, seed=0)
     assert rep.passed
     for rays in rep.sampled_fans:
         assert len(rays) == 2  # empty exceptional set

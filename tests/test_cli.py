@@ -502,6 +502,32 @@ def test_repeated_request_builds_no_group_state(capsys, monkeypatch):
     assert first[0] == second[0] == 0
 
 
+def test_moduli_and_verify_share_the_context_quiver(capsys, monkeypatch):
+    # 1/8(3,1) is 1/8(1,3); the quiver the context keeps carries the first
+    # presentation, and each reply still names its own
+    calls = []
+    real = clab.cli.build_mckay_quiver
+    monkeypatch.setattr(clab.cli, "build_mckay_quiver",
+                        lambda A: calls.append(A) or real(A))
+    _context.cache_clear()
+    replies = {}
+    for gens in ("1,3", "3,1"):
+        for command in ("moduli", "verify"):
+            code, out, _ = run_cli(capsys, "--n", "8", "--gens", gens,
+                                   command, "--samples", "5", "--seed", "2",
+                                   "--format", "json")
+            assert code == 0
+            body = json.loads(out)
+            body.pop("generated_at")
+            body.pop("config")
+            assert body.pop("action")["gens"] == [[int(g) for g in
+                                                   gens.split(",")]]
+            replies[gens, command] = body
+    assert len(calls) == 1
+    for command in ("moduli", "verify"):
+        assert replies["1,3", command] == replies["3,1", command], command
+
+
 def test_repeated_boundary_requests_reuse_their_resolutions(capsys,
                                                           monkeypatch):
     calls = []

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -97,3 +99,63 @@ def test_cli_import_loads_every_benchmark_layer():
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert set(layers) <= set(proc.stdout.split())
+
+
+def _perfbench_trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted((SRC.parents[1] / "perfbench").glob("*.py"))}
+
+
+def test_benchmark_reads_only_names_that_resolve():
+    # the benchmark reads `clab.<layer>.<name>` off the package it imports;
+    # a stale name would show up only as a failed benchmark set-up
+    read = {
+        (f"{path}:{node.lineno}", node.value.attr, node.attr)
+        for path, tree in _perfbench_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Attribute)
+        and _name(node.value.value) == "clab"
+    }
+    assert {"build_mckay_quiver", "fixed_candidates", "run"} <= {
+        name for _, _, name in read}
+    missing = [f"{where} clab.{layer}.{name}" for where, layer, name in read
+               if not hasattr(importlib.import_module(f"clab.{layer}"), name)]
+    assert missing == []
+
+
+def test_tracer_names_are_traced_functions():
+    # the tracer's tables and hooks name spans "<layer>.<function>"; each
+    # must be a public function of that module, which the tracer wraps
+    tree = _perfbench_trees()["tracing.py"]
+    layers = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(_name(t) == "LAYERS" for t in node.targets))
+    hooks = next(node.value for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and any(_name(t) == "_HOOKS" for t in node.targets))
+    keys = [k.value for k in hooks.keys]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and _name(node.func) == "stat"
+                and isinstance(node.args[0], ast.Constant)):
+            keys.append(node.args[0].value)
+        if (isinstance(node, ast.Subscript) and _name(node.value) == "originals"
+                and isinstance(node.slice, ast.Constant)):
+            keys.append(node.slice.value)
+    assert "thetaspace.realize_resolution" in keys
+    assert "quiver.moduli_fan_cones" in keys
+    bad = set()
+    for key in keys:
+        layer, _, name = key.partition(".")
+        fn = getattr(importlib.import_module(f"clab.{layer}"), name, None)
+        if (layer not in layers or name.startswith("_")
+                or not inspect.isfunction(inspect.unwrap(fn) if fn else None)
+                or fn.__module__ != f"clab.{layer}"):
+            bad.add(key)
+    # functions that left the library while the tracer still reads them:
+    # their metrics read 0 until the tracer is pointed at their successors
+    assert bad == RETIRED_TRACER_NAMES
+
+
+RETIRED_TRACER_NAMES = {"linprog.project", "lattice.lattice_points_in_triangle",
+                        "lattice.primitive_in_lattice"}

@@ -25,6 +25,7 @@ from clab.quiver import _limit_feasible
 from clab.surface import build_action, build_N2, is_small, minimal_resolution
 
 from .oracles import (
+    character_table_mod_n,
     characters_by_annihilator,
     fm_cone_of_support,
     hnf_N2,
@@ -68,6 +69,37 @@ def test_character_table_matches_annihilator_cosets():
             for v in range(-n, 2 * n):
                 assert Q.vertex_index(u, v) == vertices.index(canon(u, v)), \
                     (group, u, v)
+
+
+def test_character_table_mod_exponent_matches_table_mod_n():
+    # every presentation 1/n(a,b) with n <= 12 and some with two
+    # generators, many with exponent e < n: the table over [0, e)^2 gives
+    # the vertices and every lookup of the one over [0, n)^2
+    groups = [(n, [(a, b)]) for n in range(1, 13)
+              for a in range(n) for b in range(n)]
+    groups += [(4, [(2, 0), (0, 2)]), (6, [(3, 0), (0, 2)]),
+               (12, [(6, 0), (0, 4)]), (12, [(3, 9), (6, 0)]),
+               (8, [(2, 6), (4, 0)]), (18, [(1, 5), (0, 9)])]
+    short = 0
+    for group in groups:
+        A = build_action(*group)
+        Q = build_mckay_quiver(A)
+        vertices, table = character_table_mod_n(A)
+        assert Q.vertices == vertices, group
+        assert len(Q.table) == A.exponent ** 2, group
+        assert all(Q.vertex_index(u, v) == i for (u, v), i in table.items()), \
+            group
+        short += A.exponent < A.n
+    assert short > 100
+
+
+def test_character_table_of_a_tiny_group_is_small():
+    # 1/1000(500,500) has order and exponent 2: four pairs, not 10^6
+    A = build_action(1000, [(500, 500)])
+    Q = build_mckay_quiver(A)
+    assert Q.order == 2 and len(Q.table) == 4
+    assert Q.vertices == ((0, 0), (0, 1))
+    assert Q.vertex_index(999, 1000) == 1 and Q.vertex_index(-3, 5) == 0
 
 
 def test_quiver_one_eighth_shifts():
@@ -321,7 +353,7 @@ def _oracle_thetas(m, rng):
 
 @pytest.mark.parametrize("group", ORACLE_GROUPS + [(8, [(1, 2)])], ids=_group_id)
 def test_stable_supports_match_mask_oracle(group):
-    # the set-disjoint test on the scaled table against theta summed over
+    # the scan of the scaled table against theta summed directly over
     # each stability mask; a mask summing to 0 makes a support unstable
     A = build_action(*group)
     Q = build_mckay_quiver(A)

@@ -8,10 +8,13 @@ from clab import quiver, thetaspace
 from clab.cli import main
 from clab.quiver import (
     ModuliFanError,
+    _subset_sums,
     build_mckay_quiver,
     enumerate_fixed_stable,
     is_generic,
+    make_theta,
     moduli_fan,
+    moduli_fan_cones,
 )
 from clab.surface import (
     build_action,
@@ -21,13 +24,14 @@ from clab.surface import (
     minimal_resolution,
 )
 from clab.thetaspace import (
+    derive_seed,
     realize_resolution,
     sample_generic,
     verify_main_theorem,
 )
 from fractions import Fraction as F
 
-from .oracles import wall_sign_vector, walls
+from .oracles import sample_by_randint, stable_by_masks, wall_sign_vector, walls
 
 
 def cyclic(n, a, b):
@@ -79,6 +83,42 @@ def test_sample_generic_trivial_group():
     assert sample_generic(build_action(1, []), seed=1).values == (0,)
 
 
+@pytest.mark.parametrize("group", [(1, []), (4, [(1, 3)]),
+                                   (2, [(1, 1), (1, 0)]), (7, [(1, 3)]),
+                                   (9, [(3, 1)])])
+def test_sampler_stream_matches_randint_reference(group):
+    # the seeded stream is pinned on its own, not only by the golden hashes
+    A = build_action(*group)
+    for seed in range(1000):
+        assert sample_generic(A, seed).values == sample_by_randint(A, seed)[0]
+
+
+def test_sampled_theta_carries_its_table_until_first_use():
+    Q = build_mckay_quiver(cyclic(8, 1, 3))
+    theta = sample_generic(Q.action, seed=4)
+    plain = make_theta(theta.values)
+    # the table is no field: equality, hashing, repr and JSON ignore it
+    assert vars(theta)["_table"] == _subset_sums(plain)
+    assert "_table" not in vars(plain)
+    assert theta == plain and hash(theta) == hash(plain)
+    assert repr(theta) == repr(plain) and theta.to_json() == plain.to_json()
+    cones = moduli_fan_cones(Q, theta)
+    assert "_table" not in vars(theta)
+    # a second fan at the released theta builds its table anew
+    assert moduli_fan_cones(Q, theta) == cones == moduli_fan_cones(Q, plain)
+
+
+def test_stable_cache_and_outcomes_hold_no_table():
+    Q = build_mckay_quiver(cyclic(7, 1, 3))
+    theta = sample_generic(Q.action, seed=11)
+    # the cache keeps the theta it was called with as its key
+    assert enumerate_fixed_stable(Q, theta) == stable_by_masks(Q, theta)
+    assert "_table" not in vars(theta)
+    rep = verify_main_theorem(Q, samples=3, budget=500, seed=2)
+    assert rep.all_realized
+    assert all("_table" not in vars(o.theta) for o in rep.outcomes)
+
+
 def test_realize_minimal_one_third():
     Q = build_mckay_quiver(cyclic(3, 1, 1))
     Y = minimal_resolution(Q.N2)
@@ -88,11 +128,11 @@ def test_realize_minimal_one_third():
 
 
 def test_realize_checks_reproducibility(monkeypatch):
-    # the re-run check is a raise, not an assert, so it holds under -O
+    # the re-run check is a raise, not an assert, so it holds under -O; the
+    # first draw realizes the only admissible resolution, the re-run does not
     Q = build_mckay_quiver(cyclic(3, 1, 1))
     Y = minimal_resolution(Q.N2)
-    fans = iter([Y, None])  # the first call realizes Y, the re-run does not
-    monkeypatch.setattr(thetaspace, "moduli_fan", lambda Q, theta: next(fans))
+    monkeypatch.setattr(thetaspace, "moduli_fan", lambda Q, theta: None)
     with pytest.raises(ModuliFanError):
         realize_resolution(Q, Y, budget=5)
 
@@ -134,10 +174,12 @@ def test_verify_goes_through_the_traced_names(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     count(thetaspace, "sample_generic")
-    count(quiver, "moduli_fan_cones")
+    count(thetaspace, "moduli_fan_cones")  # the fan of each draw
+    count(quiver, "moduli_fan_cones")  # the re-run, through moduli_fan
     count(thetaspace, "realize_resolution")
+    count(quiver, "_subset_sums")
     A = cyclic(8, 1, 3)
-    rep = verify_main_theorem(A, samples=5, budget=500, seed=1)
+    rep = verify_main_theorem(build_mckay_quiver(A), samples=5, budget=500, seed=1)
     assert rep.all_realized
     tried = sum(o.samples_tried for o in rep.outcomes)
     assert calls["realize_resolution"] == len(rep.outcomes) == len(
@@ -145,11 +187,50 @@ def test_verify_goes_through_the_traced_names(monkeypatch):
     assert calls["sample_generic"] == 5 + tried
     # one fan per sample, and a re-run for each realizing theta
     assert calls["moduli_fan_cones"] == 5 + tried + len(rep.outcomes)
+    # one subset-sum table per draw, and a new one for each re-run
+    seeds = [derive_seed(1, k) for k in range(5)] + [
+        derive_seed(derive_seed(1, 10**6 + j), k)
+        for j, o in enumerate(rep.outcomes) for k in range(o.samples_tried)]
+    draws = sum(sample_by_randint(A, seed)[1] for seed in seeds)
+    assert draws >= 5 + tried
+    assert calls["_subset_sums"] == draws + len(rep.outcomes)
+
+
+def test_verify_validates_each_distinct_fan_once(monkeypatch):
+    calls = collections.Counter()
+    validate = thetaspace.resolution_from_grid
+
+    def counted(lattice, grid):
+        calls[tuple(grid)] += 1
+        return validate(lattice, grid)
+
+    monkeypatch.setattr(thetaspace, "resolution_from_grid", counted)
+    Q = build_mckay_quiver(cyclic(7, 1, 3))
+    rep = verify_main_theorem(Q, samples=40, budget=2000, seed=5)
+    assert rep.passed
+    grids = set(rep.sampled_fans).union(*(o.distinct_fans for o in rep.outcomes))
+    assert set(calls) == grids and set(calls.values()) == {1}
+    assert 40 + sum(o.samples_tried for o in rep.outcomes) > len(grids)
+
+
+def test_verify_raises_on_a_grid_that_fails_validation(monkeypatch):
+    # the last ray doubled: the last two rays are no longer a lattice basis
+    def bad_cones(Q, theta):
+        cones = moduli_fan_cones(Q, theta)
+        c, lo, hi = cones[-1]
+        return cones[:-1] + ((c, lo, (hi[0], 2 * hi[1])),)
+
+    monkeypatch.setattr(thetaspace, "moduli_fan_cones", bad_cones)
+    Q = build_mckay_quiver(cyclic(5, 1, 2))
+    with pytest.raises(ValueError, match="not a lattice basis"):
+        verify_main_theorem(Q, samples=3, budget=50, seed=0)
+    with pytest.raises(ValueError, match="not a lattice basis"):
+        verify_main_theorem(Q, samples=0, budget=50, seed=0)
 
 
 def test_verify_one_third():
     A = cyclic(3, 1, 1)
-    rep = verify_main_theorem(A, samples=50, budget=100, seed=0)
+    rep = verify_main_theorem(build_mckay_quiver(A), samples=50, budget=100, seed=0)
     assert rep.passed
     assert len(rep.sampled_fans) == 1  # the unique admissible resolution
     assert not rep.containment_violations
@@ -158,7 +239,7 @@ def test_verify_one_third():
 
 def test_verify_reflection_case():
     A = cyclic(2, 1, 0)
-    rep = verify_main_theorem(A, samples=50, budget=100, seed=0)
+    rep = verify_main_theorem(build_mckay_quiver(A), samples=50, budget=100, seed=0)
     assert rep.passed
     # all sampled fans have no exceptional rays
     for rays in rep.sampled_fans:
@@ -167,8 +248,8 @@ def test_verify_reflection_case():
 
 def test_verify_determinism():
     A = cyclic(3, 1, 1)
-    r1 = verify_main_theorem(A, samples=10, budget=20, seed=3)
-    r2 = verify_main_theorem(A, samples=10, budget=20, seed=3)
+    r1 = verify_main_theorem(build_mckay_quiver(A), samples=10, budget=20, seed=3)
+    r2 = verify_main_theorem(build_mckay_quiver(A), samples=10, budget=20, seed=3)
     assert r1.to_json() == r2.to_json()
 
 
@@ -190,10 +271,9 @@ def test_chamber_constancy_spot_check():
 
 def test_report_soundness_recheckable():
     # every reported realizing theta reproduces its fan on an independent call
-    A = cyclic(8, 1, 3)
-    rep = verify_main_theorem(A, samples=5, budget=500, seed=1)
+    Q = build_mckay_quiver(cyclic(8, 1, 3))
+    rep = verify_main_theorem(Q, samples=5, budget=500, seed=1)
     assert rep.passed
-    Q = build_mckay_quiver(A)
     for out in rep.outcomes:
         assert moduli_fan(Q, out.theta) == out.resolution
 
@@ -201,19 +281,19 @@ def test_report_soundness_recheckable():
 def test_verify_nonsmall_mixed_case():
     # 1/4(1,2) has a reflection (2,0) and a singular quotient
     A = cyclic(4, 1, 2)
-    rep = verify_main_theorem(A, samples=30, budget=2000, seed=0)
+    rep = verify_main_theorem(build_mckay_quiver(A), samples=30, budget=2000, seed=0)
     assert rep.passed
 
 
 def test_verify_klein_four():
     A = build_action(2, [(1, 1), (1, 0)])
-    rep = verify_main_theorem(A, samples=30, budget=2000, seed=0)
+    rep = verify_main_theorem(build_mckay_quiver(A), samples=30, budget=2000, seed=0)
     assert rep.passed
 
 
 def test_report_json_schema():
     A = cyclic(2, 1, 1)
-    rep = verify_main_theorem(A, samples=5, budget=20, seed=0)
+    rep = verify_main_theorem(build_mckay_quiver(A), samples=5, budget=20, seed=0)
     js = rep.to_json()
     assert js["schema"] == 1
     assert js["verdict"] == "pass"
