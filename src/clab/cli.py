@@ -12,7 +12,7 @@ import functools
 import itertools
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -247,8 +247,7 @@ KEPT_RAYS = 16384
 
 class _GroupContext:
     """Per-group state, each part built on first use and kept; none of it
-    depends on the generators of `A`, apart from the presentation that
-    `quiver.action` reports."""
+    depends on the generators of `A` but the presentation `quiver.action`."""
 
     def __init__(self, A):
         self.A = A
@@ -417,11 +416,10 @@ def run(cfg: RunConfig):
         return code, _emit(cfg, payload, drawing=_drawing(cfg, fan))
 
     if cfg.command == "verify":
-        rep = verify_main_theorem(_context(A).quiver, cfg.samples, cfg.budget,
-                                  seed=cfg.seed)
-        payload = rep.to_json()
         # the context's quiver may carry another presentation of the group
-        payload["action"] = A.to_json()
+        rep = replace(verify_main_theorem(_context(A).quiver, cfg.samples,
+                                          cfg.budget, seed=cfg.seed), action=A)
+        payload = rep.to_json()
         lines = [
             f"only-if audit: {cfg.samples} samples, "
             f"{payload['only_if']['violations']} containment violations",

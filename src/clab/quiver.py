@@ -38,10 +38,9 @@ class McKayQuiver:
     shifting by the class of (1,0) and a y-arrow shifting by the class of
     (0,1).
 
-    A pair (u, v) is the character g = (a, b) -> zeta_n^(u a + v b).  Every
-    weight of G is a multiple of n / e, for e its exponent, so the character
-    depends on the pair mod e only: `table` maps every pair in [0, e)^2 to
-    the index of its character, and each lookup is one reduction mod e."""
+    A pair (u, v) is the character g = (a, b) -> zeta_n^(u a + v b), which
+    depends on it mod e, the exponent of G, and `table` maps every pair in
+    [0, e)^2 to the index of its character: a lookup is one reduction mod e."""
 
     action: AbelianAction
     vertices: tuple  # the least pair of each character, sorted
@@ -81,11 +80,10 @@ class McKayQuiver:
 
 
 def build_mckay_quiver(A: AbelianAction) -> McKayQuiver:
-    """The character table in one pass over (u, v) mod e, the exponent of G:
-    two pairs are one character iff they pair equally with every generator
-    of G.  The pairs come in lexicographic order, so the first pair of each
-    character is its least, and the vertices come out sorted; reducing a
-    pair mod e keeps its character, so the least pair lies in [0, e)^2."""
+    """The character table in one pass over (u, v) mod e: two pairs are one
+    character iff they pair equally with every generator of G, every weight
+    of G is a multiple of n / e, and the pairs come in lexicographic order,
+    so the first pair of each character is its least, and lies in [0, e)^2."""
     n, e = A.n, A.exponent
     index = {}  # pairing with the generators -> vertex index
     vertices = []
@@ -329,21 +327,19 @@ def genericity_witness(theta: Theta):
     return tuple(v for v in range(m) if best & (1 << v))
 
 
+# the last theta `is_generic` passed and its table, for the next `_stable_at`
+# to take if it scans that same object: one slot, so at most one table is held
+_certified = (None, None)
+
+
 def is_generic(theta: Theta) -> bool:
     """Conservative certificate: theta(S) != 0 for every nonempty proper
     subset of characters."""
-    return 0 not in _subset_sums(theta)[1:-1]
-
-
-def _certify(theta: Theta) -> bool:
-    """Whether theta passes the genericity certificate.  If it does, the
-    table that certified it stays on theta, outside its fields, until the
-    first stable-support scan at theta takes it, so no cache or outcome
-    holding theta keeps it."""
+    global _certified
     table = _subset_sums(theta)
     if 0 in table[1:-1]:
         return False
-    object.__setattr__(theta, "_table", table)
+    _certified = (theta, table)
     return True
 
 
@@ -368,7 +364,7 @@ def enumerate_fixed_stable(Q: McKayQuiver, theta: Theta):
     """All torus-fixed theta-stable supports."""
     if len(theta.values) != Q.order:
         raise ValueError("theta has the wrong number of characters")
-    return _stable(Q, theta.__dict__.pop("_table", None) or _subset_sums(theta))
+    return _stable(Q, _subset_sums(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -416,12 +412,13 @@ def moduli_fan_cones(Q: McKayQuiver, theta: Theta):
 
 
 def _stable_at(Q, theta):
-    """The stable candidates at a generic theta, from one subset-sum table:
-    the one `_certify` left on it, else a new one."""
+    """The stable candidates at a generic theta, from one subset-sum table."""
+    global _certified
     if len(theta.values) != Q.order:
         raise ValueError("theta has the wrong number of characters")
-    table = theta.__dict__.pop("_table", None)
-    if table is None:
+    held, table = _certified
+    _certified = (None, None)
+    if held is not theta:
         table = _subset_sums(theta)
         if 0 in table[1:-1]:
             raise NonGenericThetaError("theta is on a wall")
@@ -452,9 +449,4 @@ def moduli_fan(Q: McKayQuiver, theta: Theta) -> Resolution:
 
 
 def _fan(Q, cones):
-    return resolution_from_grid(Q.N2, _grid(cones))
-
-
-def _grid(cones):
-    """The rays bounding the tiling `cones`, as the grid of their fan."""
-    return (cones[0][1], *(c[2] for c in cones))
+    return resolution_from_grid(Q.N2, [cones[0][1]] + [c[2] for c in cones])

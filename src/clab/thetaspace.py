@@ -12,8 +12,6 @@ from .quiver import (
     McKayQuiver,
     ModuliFanError,
     Theta,
-    _certify,
-    _grid,
     is_generic,
     make_theta,
     moduli_fan,
@@ -42,9 +40,7 @@ _SAMPLE_ATTEMPTS = 1000
 
 def sample_generic(A: AbelianAction, seed: int) -> Theta:
     """Deterministic integer-valued zero-sum theta passing the genericity
-    certificate; draws are retried with the same stream until certified.
-    The theta keeps the subset-sum table that certified it until its first
-    stable-support scan (`quiver._certify`)."""
+    certificate; draws are retried with the same stream until certified."""
     m = A.order
     if m == 1:
         return make_theta([0])
@@ -55,7 +51,7 @@ def sample_generic(A: AbelianAction, seed: int) -> Theta:
         vals = [rng.randrange(width) - bound for _ in range(m - 1)]
         vals.append(-sum(vals))
         theta = make_theta(vals)
-        if _certify(theta):
+        if is_generic(theta):
             return theta
     raise RetryBudgetError(f"no generic theta found in {_SAMPLE_ATTEMPTS} draws")
 
@@ -86,21 +82,18 @@ class RealizeOutcome:
 
 
 def _checked_fan(Q, theta, fans):
-    """moduli_fan(Q, theta), validating each grid once: `fans` maps the
-    grids validated so far to their resolutions."""
-    grid = _grid(moduli_fan_cones(Q, theta))
-    fan = fans.get(grid)
-    if fan is None:
-        fan = fans[grid] = resolution_from_grid(Q.N2, grid)
-    return fan
+    """moduli_fan(Q, theta), validating only the grids not yet in `fans`."""
+    cones = moduli_fan_cones(Q, theta)
+    grid = (cones[0][1], *(c[2] for c in cones))
+    if grid not in fans:
+        fans[grid] = resolution_from_grid(Q.N2, grid)
+    return fans[grid]
 
 
 def realize_resolution(Q: McKayQuiver, Y: Resolution, budget: int,
-                       seed: int = 0, *, fans=None) -> RealizeOutcome:
+                       seed: int = 0) -> RealizeOutcome:
     """Search for a certified-generic theta with moduli_fan(Q, theta) = Y by
-    seeded sampling; Y must be an admissible resolution in `Q.N2`.  `fans`,
-    if given, maps the grids an audit has validated to their resolutions,
-    and gains the ones this search validates."""
+    seeded sampling; Y must be an admissible resolution in `Q.N2`."""
     if budget < 1:
         raise ValueError("budget must be at least 1")
     if Y.lattice != Q.N2:
@@ -109,20 +102,17 @@ def realize_resolution(Q: McKayQuiver, Y: Resolution, budget: int,
     if not is_dominated_by_max(Y):
         raise ValueError("resolution is not admissible (not dominated by the "
                          "maximal resolution)")
-    if fans is None:
-        fans = {}
-    seen = set()
+    fans = {}
     for k in range(budget):
         theta = sample_generic(Q.action, derive_seed(seed, k))
         fan = _checked_fan(Q, theta, fans)
-        seen.add(fan.grid)
         if fan == Y:
             # from a new subset-sum table and a new validation of the grid
             if moduli_fan(Q, theta) != Y:
                 raise ModuliFanError("the moduli fan of a realizing theta "
                                      "changed on a re-run")
-            return RealizeOutcome(Y, theta, k + 1, tuple(sorted(seen)))
-    return RealizeOutcome(Y, None, budget, tuple(sorted(seen)))
+            return RealizeOutcome(Y, theta, k + 1, tuple(sorted(fans)))
+    return RealizeOutcome(Y, None, budget, tuple(sorted(fans)))
 
 
 @dataclass(frozen=True)
@@ -169,8 +159,7 @@ def verify_main_theorem(Q: McKayQuiver, samples: int, budget: int,
                         seed: int = 0) -> RealizationReport:
     """(i) only-if audit: every sampled generic fan uses only rays of the
     maximal resolution; (ii) if audit: every admissible resolution is
-    realized by some sampled generic theta within the budget.  Each distinct
-    fan is validated once per audit."""
+    realized by some sampled generic theta within the budget."""
     if samples < 0:
         raise ValueError("samples must be at least 0")
     A = Q.action
@@ -185,10 +174,8 @@ def verify_main_theorem(Q: McKayQuiver, samples: int, budget: int,
         counts.append(len(fan.grid) - 1)
         if not set(fan.grid) <= max_rays:
             violations.append((theta.to_json(), fan.to_json()))
-    sampled = tuple(sorted(fans))  # the only-if grids, before realization adds
     admissible = enumerate_admissible_resolutions(N2)
-    outcomes = [realize_resolution(Q, Y, budget, derive_seed(seed, 10**6 + j),
-                                   fans=fans)
+    outcomes = [realize_resolution(Q, Y, budget, derive_seed(seed, 10**6 + j))
                 for j, Y in enumerate(admissible)]
     return RealizationReport(
         action=A,
@@ -196,7 +183,7 @@ def verify_main_theorem(Q: McKayQuiver, samples: int, budget: int,
         samples=samples,
         budget=budget,
         containment_violations=tuple(violations),
-        sampled_fans=sampled,
+        sampled_fans=tuple(sorted(fans)),
         outcomes=tuple(outcomes),
         fixed_point_counts=tuple(counts),
     )

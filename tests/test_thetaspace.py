@@ -93,19 +93,35 @@ def test_sampler_stream_matches_randint_reference(group):
         assert sample_generic(A, seed).values == sample_by_randint(A, seed)[0]
 
 
-def test_sampled_theta_carries_its_table_until_first_use():
+def test_sampled_theta_hands_its_table_to_the_first_scan():
+    # the theta carries its values only; the table that certified it waits
+    # in quiver's one slot for the first scan at that very object
     Q = build_mckay_quiver(cyclic(8, 1, 3))
     theta = sample_generic(Q.action, seed=4)
     plain = make_theta(theta.values)
-    # the table is no field: equality, hashing, repr and JSON ignore it
-    assert vars(theta)["_table"] == _subset_sums(plain)
-    assert "_table" not in vars(plain)
-    assert theta == plain and hash(theta) == hash(plain)
-    assert repr(theta) == repr(plain) and theta.to_json() == plain.to_json()
+    assert vars(theta) == vars(plain) == {"values": theta.values}
+    held, table = quiver._certified
+    assert held is theta and table == _subset_sums(plain)
     cones = moduli_fan_cones(Q, theta)
-    assert "_table" not in vars(theta)
-    # a second fan at the released theta builds its table anew
+    assert quiver._certified == (None, None)
+    # a second fan at the theta builds its table anew
     assert moduli_fan_cones(Q, theta) == cones == moduli_fan_cones(Q, plain)
+
+
+def test_unscanned_thetas_hold_no_table(monkeypatch):
+    # thetas kept without a scan hold nothing, and the slot only the last
+    A = cyclic(7, 1, 3)
+    kept = [sample_generic(A, seed) for seed in range(20)]
+    assert all(vars(t) == {"values": t.values} for t in kept)
+    assert quiver._certified[0] is kept[-1]
+    # an equal theta that is another object builds its own table
+    tables = collections.Counter()
+    build = quiver._subset_sums
+    monkeypatch.setattr(quiver, "_subset_sums",
+                        lambda theta: tables.update([theta]) or build(theta))
+    copy = make_theta(kept[-1].values)
+    moduli_fan_cones(build_mckay_quiver(A), copy)
+    assert tables == {copy: 1} and quiver._certified == (None, None)
 
 
 def test_stable_cache_and_outcomes_hold_no_table():
@@ -113,10 +129,11 @@ def test_stable_cache_and_outcomes_hold_no_table():
     theta = sample_generic(Q.action, seed=11)
     # the cache keeps the theta it was called with as its key
     assert enumerate_fixed_stable(Q, theta) == stable_by_masks(Q, theta)
-    assert "_table" not in vars(theta)
+    assert vars(theta) == {"values": theta.values}
     rep = verify_main_theorem(Q, samples=3, budget=500, seed=2)
-    assert rep.all_realized
-    assert all("_table" not in vars(o.theta) for o in rep.outcomes)
+    assert rep.all_realized and quiver._certified == (None, None)
+    assert all(vars(o.theta) == {"values": o.theta.values}
+               for o in rep.outcomes)
 
 
 def test_realize_minimal_one_third():
@@ -208,9 +225,11 @@ def test_verify_validates_each_distinct_fan_once(monkeypatch):
     Q = build_mckay_quiver(cyclic(7, 1, 3))
     rep = verify_main_theorem(Q, samples=40, budget=2000, seed=5)
     assert rep.passed
-    grids = set(rep.sampled_fans).union(*(o.distinct_fans for o in rep.outcomes))
-    assert set(calls) == grids and set(calls.values()) == {1}
-    assert 40 + sum(o.samples_tried for o in rep.outcomes) > len(grids)
+    # once in the only-if audit and once in each realization search, through
+    # a dict of that loop's own
+    loops = [rep.sampled_fans] + [o.distinct_fans for o in rep.outcomes]
+    assert calls == collections.Counter(g for grids in loops for g in grids)
+    assert len(rep.sampled_fans) < 40
 
 
 def test_verify_raises_on_a_grid_that_fails_validation(monkeypatch):
