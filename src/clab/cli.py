@@ -39,7 +39,7 @@ from .quiver import (
     make_theta,
 )
 from .surface import (
-    admissible_ray_sequences,
+    AdmissibleSequences,
     boundary_divisor,
     build_action,
     build_N2,
@@ -60,8 +60,8 @@ FORMATS = ("text", "json", "svg", "dot")
 # of its draws, and the subset-sum table has 2^|G| entries.
 MAX_MODULI_ORDER = 14
 # Cold, `triangulate --resolution max` takes 0.2 s at order 289 (1/17(1,0;0,1))
-# but 10 s at order 3000, and `group` 10 s at order 10^6.  The admissible
-# lists have their own guard, MAX_OPTIONAL_RAYS.
+# but 10 s at order 3000, and `group` 10 s at order 10^6.  Below this bound,
+# MAX_OPTIONAL_RAYS caps the number of admissible resolutions at 2^20.
 MAX_ORDER = 300
 
 
@@ -240,37 +240,23 @@ def _fmt_resolution(Y):
     return f"exceptional rays: {rays}\ndiscrepancies: {disc}"
 
 
-# 1/84(1,41) has 2^20 admissible resolutions, 4 s and 417 MB to build; a
-# context keeps at most this many rays of them (195 kB at 1/63(1,56))
-KEPT_RAYS = 16384
-
-
 class _GroupContext:
     """Per-group state, each part built on first use and kept; none of it
     depends on the generators of `A` but the presentation `quiver.action`."""
 
     def __init__(self, A):
         self.A = A
-        self._admissible = None
 
     N2 = functools.cached_property(lambda self: build_N2(self.A))
     junior = functools.cached_property(lambda self: build_junior(self.A))
     quiver = functools.cached_property(lambda s: build_mckay_quiver(s.A))
     minres = functools.cached_property(lambda s: minimal_resolution(s.N2))
     maxres = functools.cached_property(lambda s: maximal_resolution(s.N2))
-
-    @property
-    def admissible(self):
-        if self._admissible is None:
-            seqs = admissible_ray_sequences(self.N2)
-            if sum(map(len, seqs)) > KEPT_RAYS:
-                return seqs
-            self._admissible = seqs
-        return self._admissible
+    admissible = functools.cached_property(lambda s: AdmissibleSequences(s.N2))
 
 
 # keyed by the action, whose equality ignores the generator presentation;
-# one context holds at most about 0.3 MB (92 kB at 1/300(1,7))
+# one context holds at most about 0.6 MB (1/83(1,12), 2,555 gap parts)
 @functools.lru_cache(maxsize=16)
 def _context(A):
     return _GroupContext(A)

@@ -14,6 +14,7 @@ input of `make_resolution`; `to_json` writes its strings from the pairs.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
@@ -267,7 +268,9 @@ def _maximal_rays(N2: Lattice):
     return sort_rays_by_angle(first.values())
 
 
-MAX_OPTIONAL_RAYS = 20  # subset enumeration guard, desk scale
+# desk scale: at most 2^20 admissible resolutions, and it refuses every group
+# before any gap's fills are listed (one gap of 1/299(1,25) has 8*10^12)
+MAX_OPTIONAL_RAYS = 20
 
 
 def _blowups(u, v, N):
@@ -285,34 +288,64 @@ def _blowups(u, v, N):
     return out
 
 
-def admissible_ray_sequences(N2: Lattice):
-    """The N-scaled ray sequences of the admissible resolutions, in the
-    order of `enumerate_admissible_resolutions`.  None of them is validated
-    here; a caller passes those it uses to `resolution_from_grid`.
+class AdmissibleSequences(Sequence):
+    """The N-scaled ray sequences of the admissible resolutions, sorted by
+    (number of rays, rays) and decoded by index, none of them validated.
 
-    They are built, not searched for: one refinement per pair of
-    consecutive minimal rays, each from the blow-up tree of that pair."""
-    rmin = _minimal_rays(N2)
-    rmax = _maximal_rays(N2)
-    base = set(rmin)
-    optional = [r for r in rmax if r not in base]
-    if len(optional) > MAX_OPTIONAL_RAYS:
-        raise ValueError(
-            f"too many optional rays ({len(optional)}) for subset enumeration"
-        )
-    gaps = [_blowups(u, v, N2.N) for u, v in itertools.pairwise(rmin)]
-    out = []
-    for fills in itertools.product(*gaps):
-        rays = [rmin[0]]
-        for fill, r in zip(fills, rmin[1:]):
-            rays += fill
-            rays.append(r)
-        out.append(tuple(rays))
-    out.sort(key=lambda rays: (len(rays), rays))
-    if rmin not in out or rmax not in out:
-        raise ValueError("the admissible resolutions do not run from the "
-                         "minimal to the maximal resolution")
-    return tuple(out)
+    A resolution is one blow-up fill per pair (u, v) of consecutive minimal
+    rays: v_0 and then, per gap, one part, the fill and v.  A gap's parts
+    are prefix-free, as v lies outside its fills, so sequences of one length
+    are ordered by their parts, gap by gap.  `parts` holds each gap's parts
+    sorted, `counts[g][k]` the ways the gaps from g on make k rays."""
+
+    def __init__(self, N2: Lattice):
+        rmin = _minimal_rays(N2)
+        rmax = _maximal_rays(N2)
+        optional = len(set(rmax) - set(rmin))
+        if optional > MAX_OPTIONAL_RAYS:
+            raise ValueError(f"too many optional rays ({optional}) for the "
+                             "admissible resolutions; at most "
+                             f"{MAX_OPTIONAL_RAYS} are served")
+        self.first = rmin[:1]
+        self.parts = tuple(sorted(fill + (v,) for fill in _blowups(u, v, N2.N))
+                           for u, v in itertools.pairwise(rmin))
+        self.counts = [{0: 1}]
+        for parts in reversed(self.parts):
+            counts = {}
+            for part in parts:
+                for k, c in self.counts[0].items():
+                    counts[k + len(part)] = counts.get(k + len(part), 0) + c
+            self.counts.insert(0, counts)
+        self._len = sum(self.counts[0].values())
+        if self[-1] != rmax:  # self[0] is rmin: each gap's first part is (v,)
+            raise ValueError("the blow-ups miss a ray of the maximal resolution")
+
+    def __len__(self):
+        return self._len
+
+    def __iter__(self):  # a stable sort by length keeps the product's order
+        for parts in sorted(itertools.product(*self.parts),
+                            key=lambda parts: sum(map(len, parts))):
+            yield self.first + tuple(itertools.chain(*parts))
+
+    def __getitem__(self, i):
+        if not -self._len <= i < self._len:
+            raise IndexError("admissible resolution index out of range")
+        i %= self._len
+        for k, c in sorted(self.counts[0].items()):
+            if i < c:
+                break
+            i -= c
+        out = list(self.first)
+        for parts, counts in zip(self.parts, self.counts[1:]):
+            for part in parts:
+                c = counts.get(k - len(part), 0)
+                if i < c:
+                    break
+                i -= c
+            out += part
+            k -= len(part)
+        return tuple(out)
 
 
 def enumerate_admissible_resolutions(N2: Lattice):
@@ -321,7 +354,7 @@ def enumerate_admissible_resolutions(N2: Lattice):
     Sorted by (number of rays, rays), so an index into the tuple names one
     resolution."""
     return tuple(resolution_from_grid(N2, grid)
-                 for grid in admissible_ray_sequences(N2))
+                 for grid in AdmissibleSequences(N2))
 
 
 def is_dominated_by_max(Y: Resolution) -> bool:

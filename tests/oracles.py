@@ -11,7 +11,9 @@ masks and the McKay vertices (as cosets of the annihilator of the element
 pairing) are recomputed by the exhaustive searches the library replaced
 with direct constructions, and the stable supports of a theta by the
 per-candidate test, on theta summed over each mask, that the library
-replaced with a scan of one subset-sum table per theta.  The simplex itself,
+replaced with a scan of one subset-sum table per theta.  The admissible
+sequences are also listed by the sorted product of per-gap fills that the
+library replaced with a decoder by index.  The simplex itself,
 the resolution check, the primitive points, lattice-basis determinants and
 lifts to the junior simplex, the triangle scan (here of any rational
 triangle), the maximal rays (here by a primitive-point test per point), the
@@ -57,6 +59,8 @@ from clab.quiver import (
     make_theta,
 )
 from clab.surface import (
+    _blowups,
+    _minimal_rays,
     make_resolution,
     maximal_resolution,
     minimal_resolution,
@@ -548,6 +552,23 @@ def admissible_by_subsets(N2):
                 continue
     out.sort(key=lambda r: (len(r.rays), r.rays))
     return tuple(out)
+
+
+def admissible_by_sorted_product(N2):
+    """The N-scaled admissible sequences as the library first listed them:
+    every product of one blow-up fill per pair of consecutive minimal rays,
+    joined and sorted by (length, rays)."""
+    rmin = _minimal_rays(N2)
+    gaps = [_blowups(u, v, N2.N) for u, v in itertools.pairwise(rmin)]
+    out = []
+    for fills in itertools.product(*gaps):
+        rays = [rmin[0]]
+        for fill, r in zip(fills, rmin[1:]):
+            rays += fill
+            rays.append(r)
+        out.append(tuple(rays))
+    out.sort(key=lambda rays: (len(rays), rays))
+    return out
 
 
 def _successors(Q, arrows):

@@ -14,6 +14,7 @@ from clab.cli import (
     MAX_MODULI_ORDER,
     MAX_ORDER,
     RunConfig,
+    UsageError,
     _context,
     _json,
     _order,
@@ -86,7 +87,7 @@ def test_triangulate_min_max_skip_admissible_list(capsys, monkeypatch):
         raise AssertionError("admissible list built for a min/max selector")
 
     _context.cache_clear()
-    monkeypatch.setattr("clab.cli.admissible_ray_sequences", refuse)
+    monkeypatch.setattr("clab.cli.AdmissibleSequences", refuse)
     for sel in ("min", "max"):
         code, out, err = run_cli(capsys, "--n", "8", "--gens", "1,3",
                                  "triangulate", "--resolution", sel,
@@ -111,12 +112,18 @@ def test_triangulate_index_selector(capsys):
 
 def test_index_selector_picks_from_admissible_list():
     # the selector validates only the sequence it picks; that is the
-    # resolution at the same index of the validated list
+    # resolution at the same index of the validated list, and an index past
+    # either end is a bad selector
     for n, gens in TRIANGULATE_GROUPS:
         ctx = _context(build_action(n, gens))
         admissible = enumerate_admissible_resolutions(ctx.N2)
-        for i in range(-len(admissible), len(admissible)):
+        k = len(admissible)
+        for i in range(-k - 1, k + 1):
             cfg = RunConfig("triangulate", n=n, gens=tuple(gens), resolution=str(i))
+            if i in (-k - 1, k):
+                with pytest.raises(UsageError, match="bad resolution selector"):
+                    _select_resolution(cfg, ctx)
+                continue
             Y = _select_resolution(cfg, ctx)
             assert Y == admissible[i]
             assert Y.discrepancies == admissible[i].discrepancies
@@ -455,7 +462,7 @@ def _triangulate_cases():
 def test_triangulate_replies_same_cold_and_warm():
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
     cases = _triangulate_cases()
-    assert len(cases) == 50
+    assert len(cases) == 54
     for label, argv in cases.items():
         _context.cache_clear()
         cold = digest(argv)
@@ -482,7 +489,7 @@ def test_presentations_of_one_group_share_a_context(capsys):
 
 def test_repeated_request_builds_no_group_state(capsys, monkeypatch):
     calls = []
-    for name in ("build_N2", "build_junior", "admissible_ray_sequences"):
+    for name in ("build_N2", "build_junior", "AdmissibleSequences"):
         real = getattr(clab.cli, name)
 
         def counted(*args, name=name, real=real):
@@ -494,7 +501,7 @@ def test_repeated_request_builds_no_group_state(capsys, monkeypatch):
             "--format", "json")
     _context.cache_clear()
     first = run_cli(capsys, *argv)
-    assert sorted(calls) == ["admissible_ray_sequences", "build_N2",
+    assert sorted(calls) == ["AdmissibleSequences", "build_N2",
                              "build_junior"]
     calls.clear()
     second = run_cli(capsys, *argv)
@@ -549,25 +556,26 @@ def test_repeated_boundary_requests_reuse_their_resolutions(capsys,
     assert first == second and all(code == 0 for code, _, _ in first)
 
 
-def test_context_keeps_only_a_short_admissible_list(capsys, monkeypatch):
-    # 1/30(1,11) has 49 sequences of 455 rays in all
-    A = build_action(30, [(1, 11)])
-    argv = ("--n", "30", "--gens", "1,11", "triangulate", "--resolution",
-            "7", "--format", "json")
+def test_context_serves_a_large_group_from_per_gap_parts(capsys):
+    # 1/84(1,41) has 2^20 admissible resolutions; the first is the minimal
+    # one, the last the maximal one, and the context keeps the 42 parts of
+    # its gaps with their counts, not the sequences
+    A = build_action(84, [(1, 41)])
     _context.cache_clear()
-    kept = run_cli(capsys, *argv)
-    assert _context(A)._admissible is not None
-    _context.cache_clear()
-    monkeypatch.setattr(clab.cli, "KEPT_RAYS", 454)
-    for _ in range(2):
-        assert _strip(run_cli(capsys, *argv)) == _strip(kept)
-        assert _context(A)._admissible is None
-
-
-def _strip(reply):
-    code, out, err = reply
-    return code, [ln for ln in out.splitlines()
-                  if not ln.startswith('  "generated_at": ')], err
+    replies = {}
+    for sel in ("0", "-1", "min", "max"):
+        code, out, _ = run_cli(capsys, "--n", "84", "--gens", "1,41",
+                               "triangulate", "--resolution", sel,
+                               "--format", "json")
+        assert code == 0
+        body = json.loads(out)
+        replies[sel] = body["resolution"], body["triangulation"]
+    assert replies["0"] == replies["min"]
+    assert replies["-1"] == replies["max"]
+    admissible = _context(A).admissible
+    assert len(admissible) == 2 ** 20
+    assert vars(admissible).keys() == {"first", "parts", "counts", "_len"}
+    assert sum(map(len, admissible.parts)) == 42
 
 
 def test_moduli_leaves_stable_cache_unchanged(capsys):

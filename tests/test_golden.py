@@ -1,4 +1,4 @@
-"""The CLI's output on a fixed sweep of 178 requests, against committed
+"""The CLI's output on a fixed sweep of 183 requests, against committed
 hashes.
 
 Each case is one `clab` command line.  A JSON reply is hashed byte for byte
@@ -9,9 +9,10 @@ two amp tents, with one resolution the weld search could not certify),
 every admissible list, every seeded `verify` and `moduli` report, the
 `group`, `minres` and `maxres` reports of every group in the sweep, `moduli`
 at explicit thetas (integers, integral fractions such as -2/1, proper
-fractions, a non-generic one), and the drawings of the maximal resolution
-and of one moduli fan for three groups, so a refactor that changes any of
-them fails here.
+fractions, a non-generic one), the drawings of the maximal resolution
+and of one moduli fan for three groups, three indices among the 2^20
+admissible resolutions of 1/84(1,41), and the refusal of a group with too
+many optional rays, so a refactor that changes any of them fails here.
 
 To re-record after an intended change of output:
 
@@ -48,6 +49,10 @@ THETA_CASES = (("4:1,3", "-7,3,2,2"), ("4:1,3", "-6/2,2/2,1,1/1"),
                ("3:1,2", "-1/2,1/4,1/4"), ("5:1,2", "-4,1/3,2/3,-2/1,5"),
                ("4:1,1;2,0", "-5/2,-7/2,11/2,15/2,8,11/2,3,-47/2"),
                ("4:1,3", "-1,1,3,-3"))
+# 2^20 admissible resolutions: the first, the last and one in the middle
+LARGE_GROUP, LARGE_SELECTORS = "84:1,41", ("0", "-1", "524288")
+# the smallest cyclic group with 21 optional rays, one more than served
+REFUSED_GROUP = "69:1,22"
 
 
 def _group_args(group):
@@ -84,6 +89,13 @@ def cases():
                                         "--format", fmt]
             out[f"moduli {g} seed 0 {fmt}"] = [*_group_args(g), "moduli",
                                                "--seed", "0", "--format", fmt]
+    for sel in LARGE_SELECTORS:
+        out[f"triangulate {LARGE_GROUP} {sel}"] = [
+            *_group_args(LARGE_GROUP), "triangulate", "--resolution", sel]
+    out[f"resolutions {REFUSED_GROUP}"] = [*_group_args(REFUSED_GROUP),
+                                           "resolutions"]
+    out[f"triangulate {REFUSED_GROUP} 0"] = [*_group_args(REFUSED_GROUP),
+                                             "triangulate", "--resolution", "0"]
     return out
 
 
@@ -115,7 +127,7 @@ def sweep():
 def test_sweep_matches_golden_hashes():
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
     got = sweep()
-    assert len(got) == 178
+    assert len(got) == 183
     assert sorted(got) == sorted(expected)
     changed = [label for label in got if got[label] != expected[label]]
     assert changed == []

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from clab.junior import build_junior
 from clab.lattice import lattice_from_generators, triangle_grid, vec
 from clab.surface import (
+    AdmissibleSequences,
     Resolution,
-    admissible_ray_sequences,
     boundary_divisor,
     build_action,
     build_N2,
@@ -25,6 +25,7 @@ from clab.surface import (
 from clab.surface import _maximal_rays, _minimal_rays
 
 from .oracles import (
+    admissible_by_sorted_product,
     admissible_by_subsets,
     hj_minimal_rays,
     hnf_N2,
@@ -267,12 +268,26 @@ def test_residues_by_closure_equal_scan():
 
 
 def test_admissible_by_blowups_equal_subset_enumeration():
-    # the N-scaled sequences, in their order, against the subset search's
-    # rays times N; at most 9 rays are optional for n <= 30
+    # every index, from either end, decoded against the sorted product of
+    # the per-gap fills; the N-scaled sequences, in their order, against
+    # the subset search's rays times N (at most 9 rays are optional for
+    # n <= 30)
+    for group in CYCLIC_30 + TWO_GENERATORS + COLD_GROUPS + TRIANGULATE_GROUPS:
+        N2 = build_N2(build_action(*group))
+        seqs = AdmissibleSequences(N2)
+        expected = admissible_by_sorted_product(N2)
+        k = len(expected)
+        assert len(seqs) == k, group
+        assert [seqs[i] for i in range(k)] == expected, group
+        assert [seqs[i] for i in range(-k, 0)] == expected, group
+        assert list(seqs) == expected, group
+        for i in (k, -k - 1):
+            with pytest.raises(IndexError):
+                seqs[i]
     for group in CYCLIC_30 + TWO_GENERATORS:
         N2 = build_N2(build_action(*group))
         expected = [scaled(Y.rays, N2.N) for Y in admissible_by_subsets(N2)]
-        assert list(admissible_ray_sequences(N2)) == expected, group
+        assert list(AdmissibleSequences(N2)) == expected, group
     for group in COLD_GROUPS + TRIANGULATE_GROUPS:
         N2 = build_N2(build_action(*group))
         assert enumerate_admissible_resolutions(N2) == admissible_by_subsets(N2), group
