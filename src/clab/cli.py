@@ -212,7 +212,11 @@ def _json(obj, indent="\n"):
                  for k, v in sorted(obj.items())]
     elif isinstance(obj, (list, tuple)):
         brackets = "[]"
-        items = [_json(v, inner) for v in obj]
+        # the strings and integers of point and triangle lists inline;
+        # `type(v) is int` leaves bool to the recursion
+        items = [encode_basestring_ascii(v) if type(v) is str
+                 else int.__repr__(v) if type(v) is int else _json(v, inner)
+                 for v in obj]
     else:
         raise TypeError(f"{type(obj).__name__} is not a reply type")
     if not items:
@@ -249,7 +253,15 @@ class _GroupContext:
 
     N2 = functools.cached_property(lambda self: build_N2(self.A))
     junior = functools.cached_property(lambda self: build_junior(self.A))
-    quiver = functools.cached_property(lambda s: build_mckay_quiver(s.A))
+
+    @functools.cached_property
+    def quiver(self):
+        # the quiver takes the context's N2, so `moduli` builds it once
+        # and reads the context's maximal resolution in it
+        Q = build_mckay_quiver(self.A)
+        object.__setattr__(Q, "N2", self.N2)
+        return Q
+
     minres = functools.cached_property(lambda s: minimal_resolution(s.N2))
     maxres = functools.cached_property(lambda s: maximal_resolution(s.N2))
     admissible = functools.cached_property(lambda s: AdmissibleSequences(s.N2))
@@ -368,7 +380,8 @@ def run(cfg: RunConfig):
                         if cfg.format in ("svg", "dot") else None)
 
     if cfg.command == "moduli":
-        Q = _context(A).quiver
+        ctx = _context(A)
+        Q = ctx.quiver
         if cfg.theta is not None:
             if len(cfg.theta) != A.order:
                 raise UsageError(
@@ -383,7 +396,7 @@ def run(cfg: RunConfig):
         # the fixed points are the stable supports the fan is cut from
         fixed = _stable_at(Q, theta)
         fan = _fan(Q, _tiling(fixed))
-        contained = set(fan.grid) <= set(maximal_resolution(Q.N2).grid)
+        contained = set(fan.grid) <= set(ctx.maxres.grid)
         payload = {
             "action": A.to_json(),
             "theta": theta.to_json(),

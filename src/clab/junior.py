@@ -82,6 +82,12 @@ class JuniorSimplex:
 
     lattice: Lattice
     grid: tuple
+    # (a, b) -> bitmask over grid indices of the points p with
+    # cross(a, b, p) >= 0, each filled on first use: the construction
+    # visits few of the n^2 ordered pairs, and an eager table made a cold
+    # large group much slower
+    _halfplanes: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     @property
     def vertices(self):
@@ -91,6 +97,25 @@ class JuniorSimplex:
     def points(self):
         """The points (x, y, z), in the order of `grid`."""
         return _points(self.grid, self.lattice.N)
+
+    @functools.cached_property
+    def slice(self):
+        """The slice resolution of the lattice (`slice_resolution`), built
+        once per group."""
+        return slice_resolution(self.lattice)
+
+    def _halfplane(self, a, b):
+        """The bitmask of the grid points p with cross(a, b, p) >= 0."""
+        m = self._halfplanes.get((a, b))
+        if m is None:
+            (ax, ay), (bx, by) = a, b
+            dx, dy = bx - ax, by - ay
+            m = 0
+            for i, (X, Y) in enumerate(self.grid):
+                if dx * (Y - ay) >= dy * (X - ax):
+                    m |= 1 << i
+            self._halfplanes[a, b] = m
+        return m
 
 
 def build_junior(A: AbelianAction) -> JuniorSimplex:
@@ -139,12 +164,14 @@ class Triangulation:
     """Triangles on the junior plane, stored as sorted index triples into
     `grid`, the lex-sorted N-scaled integer pairs of their points, and the
     (point, host triangle) indices of the stellar insertions that built
-    them from Delta, if the construction recorded them."""
+    them from Delta, if the construction recorded them, with the slice
+    resolution its group keeps."""
 
     grid: tuple
     triangles: tuple
     lattice: Lattice = field(repr=False)
     insertions: tuple = field(default=(), repr=False, compare=False)
+    slice: Resolution | None = field(default=None, repr=False, compare=False)
 
     @functools.cached_property
     def points(self):
@@ -159,9 +186,15 @@ class Triangulation:
                       _ratio_str(N - X - Y, N)) for X, Y in self.grid)
 
     def edges(self):
-        return sorted(self.edge_triangles())
+        return sorted(self._edge_map)
 
     def edge_triangles(self):
+        """Each edge (i, j), i < j, with the triangles that contain it.  The
+        dict is built once per triangulation and shared: do not mutate it."""
+        return self._edge_map
+
+    @functools.cached_property
+    def _edge_map(self):
         e2t = {}
         for t in self.triangles:
             for i, j in itertools.combinations(t, 2):
@@ -177,8 +210,9 @@ class Triangulation:
         return sorted({i for t in self.triangles if idx in t for i in t} - {idx})
 
     @functools.cached_property
-    def wall_rows(self):
-        """One integer row per interior wall: row.h >= 0 is weak convexity
+    def walls(self):
+        """One sparse integer row per interior wall, (edge, ((i, c), ...))
+        with its four entries, in edge order: row.h >= 0 is weak convexity
         across the wall, > 0 strict.  The row says h(d) must exceed the
         affine extension of h from the triangle (a, b, c) on the other side:
         its entries are the barycentric coordinates of d in abc, scaled by
@@ -187,10 +221,13 @@ class Triangulation:
         as the barycentric coordinates sum to 1, so adding a constant to
         every height changes no row.  The regularity, nef-cone and
         amp-restriction computations all read these rows, so they are built
-        once per triangulation."""
-        rows = []
+        once per triangulation.  ValueError if two triangles on a wall
+        overlap."""
+        walls = []
         g = self.grid
-        for edge, tris in sorted(self.edge_triangles().items()):
+        e2t = self._edge_map
+        for edge in sorted(e2t):
+            tris = e2t[edge]
             if len(tris) != 2:
                 continue
             t1, t2 = tris
@@ -202,11 +239,22 @@ class Triangulation:
             s = 1 if area > 0 else -1
             if s * _cross(a, b, d) >= 0:
                 raise ValueError(f"the triangles on edge {edge} overlap")
-            row = [0] * len(g)
-            row[d_i] = s * area
-            row[a_i] = -s * _cross(d, b, c)
-            row[b_i] = -s * _cross(a, d, c)
-            row[c_i] = -s * _cross(a, b, d)
+            walls.append((edge, ((a_i, -s * _cross(d, b, c)),
+                                 (b_i, -s * _cross(a, d, c)),
+                                 (c_i, -s * _cross(a, b, d)),
+                                 (d_i, s * area))))
+        return tuple(walls)
+
+    @functools.cached_property
+    def wall_rows(self):
+        """`walls` with each row dense over the points, for the LPs and the
+        nef cone."""
+        n = len(self.grid)
+        rows = []
+        for edge, entries in self.walls:
+            row = [0] * n
+            for i, c in entries:
+                row[i] = c
             rows.append((edge, tuple(row)))
         return tuple(rows)
 
@@ -226,7 +274,7 @@ def make_triangulation(lattice: Lattice, triangles) -> Triangulation:
                                     for t in triangles])
 
 
-def _triangulation(lattice, tris, insertions=()):
+def _triangulation(lattice, tris, insertions=(), slice_res=None):
     # tris: triangles of grid pairs; insertions: (point, host) of grid pairs
     pts = sorted({p for t in tris for p in t})
     index = {p: i for i, p in enumerate(pts)}
@@ -237,7 +285,8 @@ def _triangulation(lattice, tris, insertions=()):
         if _cross(*t) == 0:
             raise ValueError(f"degenerate triangle {t}")
     T = Triangulation(tuple(pts), tuple(tri_idx), lattice, tuple(
-        (index[p], tuple(index[q] for q in host)) for p, host in insertions))
+        (index[p], tuple(index[q] for q in host)) for p, host in insertions),
+        slice_res)
     for e, ts in T.edge_triangles().items():
         if len(ts) > 2:
             raise ValueError(f"edge {e} shared by more than two triangles")
@@ -286,13 +335,12 @@ def regularity_certificate(T: Triangulation):
     witness.  The heights replayed from T's recorded insertions are checked
     against every wall row; the LP runs only when T has no record or the
     check fails."""
-    rows = T.wall_rows
-    if not rows:
+    walls = T.walls
+    if not walls:
         return PLSupportFunction(T, tuple([Fraction(0)] * len(T.grid)))
     if T.insertions:
         heights = _replay(T, T.insertions)
-        if all(sum(h * c for h, c in zip(heights, r) if c) > 0
-               for _, r in rows):
+        if all(sum(heights[i] * c for i, c in r) > 0 for _, r in walls):
             return PLSupportFunction(T, tuple(heights))
     return _regularity_lp(T)
 
@@ -304,9 +352,8 @@ def _regularity_lp(T):
     rows = T.wall_rows
     res = solve_feasibility(len(T.grid), [], [(r, 1) for _, r in rows])
     if res.feasible:
-        for edge, r in rows:
-            # a wall row has four nonzero entries; skip the zero products
-            if sum(c * h for c, h in zip(r, res.point) if c) < 1:
+        for edge, r in T.walls:
+            if sum(c * res.point[i] for i, c in r) < 1:
                 raise TriangulationError(
                     f"the heights are not strictly convex across {edge}")
         return PLSupportFunction(T, tuple(res.point))
@@ -381,7 +428,7 @@ def _slice_edge(T):
     index = {p: i for i, p in enumerate(T.grid)}
     if (N, 0) not in index:
         raise ValueError("e1 is not a vertex of the triangulation")
-    W = slice_resolution(T.lattice)
+    W = slice_resolution(T.lattice) if T.slice is None else T.slice
     # the slice ray (a, b) is the junior point (0, a, b), with grid pair
     # (0, N a); W's pairs are scaled by the index of its lattice, |Z|
     scale = N // W.lattice.N
@@ -398,7 +445,7 @@ def _slice_edge(T):
 
 def _is_tent(T, edge, k, h):
     """h is nef on T, and its slice second differences are > 0 at k only."""
-    if any(sum(x * c for x, c in zip(h, r) if c) < 0 for _, r in T.wall_rows):
+    if any(sum(h[i] * c for i, c in r) < 0 for _, r in T.walls):
         return False
     d = [h[u] - 2 * h[v] + h[w] for u, v, w in zip(edge, edge[1:], edge[2:])]
     return d[k - 1] > 0 and not any(d[:k - 1] + d[k:])
@@ -494,10 +541,10 @@ def build_containing_triangulation(J: JuniorSimplex, Y: Resolution) -> Triangula
             raise ValueError(f"the lift of {Y.rays[i]} is not a lattice point "
                              "(inconsistent lattices)")
     record, pulls = [], {}
-    tris = _recurse(J.grid, (N, 0), (0, N), (0, 0), list(Y.grid), record, pulls)
+    tris = _recurse(J, (N, 0), (0, N), (0, 0), list(Y.grid), record, pulls)
     inserted = {p for p, _ in record}
     record += sorted(i for i in pulls.items() if i[0] not in inserted)
-    T = _triangulation(J.lattice, tris, record)
+    T = _triangulation(J.lattice, tris, record, J.slice)
     if not is_basic(T):
         raise TriangulationError("the triangulation is not basic")
     if {T.grid[i] for i in T._neighbors(T.grid.index((0, 0)))} != set(Y.grid):
@@ -505,25 +552,35 @@ def build_containing_triangulation(J: JuniorSimplex, Y: Resolution) -> Triangula
     return T
 
 
-def _points_in_triangle(points, a, b, c):
-    """The points of `points` in the closed triangle abc, in their order.
+def _points_in_triangle(J, a, b, c):
+    """The grid points of J in the closed non-degenerate triangle abc, in
+    either orientation, in the grid's order: the AND of its three
+    half-plane masks.
 
     Every triangle the construction visits has lattice-point vertices in
-    Delta, so with `points` the lex-sorted junior grid pairs these are its
-    lattice points, in lexicographic order."""
-    return [p for p in points if _in_triangle(p, a, b, c)]
+    Delta, so these are its lattice points, in lexicographic order."""
+    if _cross(a, b, c) < 0:
+        b, c = c, b
+    m = J._halfplane(a, b) & J._halfplane(b, c) & J._halfplane(c, a)
+    grid = J.grid
+    out = []
+    while m:
+        low = m & -m
+        out.append(grid[low.bit_length() - 1])
+        m ^= low
+    return out
 
 
-def _recurse(points, P, Q, apex, marked, record, pulls):
+def _recurse(J, P, Q, apex, marked, record, pulls):
     # invariants: marked[0] lies on segment(P, apex) (possibly = P),
     # marked[-1] on segment(Q, apex) (possibly = Q), marked ordered by angle
-    # around apex from the P side; `points` are the junior grid pairs.
-    # `record` and `pulls` collect the insertions
+    # around apex from the P side; J is the junior simplex.  `record` and
+    # `pulls` collect the insertions
     if len(marked) < 2:
         raise TriangulationError("a sub-triangle has fewer than two marked points")
     candidates = [m for m in marked[:-1] if m != P]
     if not candidates:
-        return _base_triangulation(points, P, Q, apex, marked, record)
+        return _base_triangulation(J, P, Q, apex, marked, record)
     # the apex barycentric coordinate of m is cross(P, Q, m) / cross(P, Q,
     # apex).  The denominator is common to all candidates and positive: e1,
     # e2, e3 turn counter-clockwise, and a sub-triangle replaces P or Q by
@@ -537,17 +594,17 @@ def _recurse(points, P, Q, apex, marked, record, pulls):
         if k != 0:
             raise TriangulationError("a marked point on the P side is not first")
     else:
-        parts += _recurse(points, P, w, apex, marked[: k + 1], record, pulls)
-    parts += _recurse(points, w, Q, apex, marked[k:], record, pulls)
+        parts += _recurse(J, P, w, apex, marked[: k + 1], record, pulls)
+    parts += _recurse(J, w, Q, apex, marked[k:], record, pulls)
     if not _on_segment(w, P, Q):
-        parts += _pull_triangulate(points, (w, P, Q), pulls)
+        parts += _pull_triangulate(J, (w, P, Q), pulls)
     return parts
 
 
-def _base_triangulation(points, P, Q, apex, marked, record):
+def _base_triangulation(J, P, Q, apex, marked, record):
     if marked[0] != P:
         raise TriangulationError("the base case does not start at its vertex")
-    pts = _points_in_triangle(points, P, Q, apex)
+    pts = _points_in_triangle(J, P, Q, apex)
     # the lattice points of [apex, Q], walked from apex: on a line the lex
     # order is monotone, and apex is an end
     edge = [p for p in pts if _on_segment(p, apex, Q)]
@@ -561,13 +618,13 @@ def _base_triangulation(points, P, Q, apex, marked, record):
     return [(P, a, b) for a, b in itertools.pairwise(edge)]
 
 
-def _pull_triangulate(points, triangle, pulls):
+def _pull_triangulate(J, triangle, pulls):
     """Pulling triangulation on all lattice points of a junior-plane
     triangle: points are pulled in lexicographic order, which keeps every
     intermediate subdivision regular; in the plane a full lattice-point
     triangulation is automatically unimodular.  `pulls` keeps each point's
     first split triangle."""
-    pts = _points_in_triangle(points, *triangle)
+    pts = _points_in_triangle(J, *triangle)
     tris = [tuple(triangle)]
     for p in pts:
         new = []

@@ -29,6 +29,9 @@ residues of N3, is recomputed from the action's elements.  The McKay
 character table is kept as the library first built it, over every pair mod
 n, and the theta sampler's stream as first drawn, by `randint`, with the
 genericity certificate on `theta_of_masks`.
+The lattice points of a sub-triangle of the junior simplex, which the
+library reads off half-plane bitmasks kept per group, are recomputed by a
+scan of the whole grid.
 The segment walk, the star subdivision, the walls of the stability space
 and the nef-cone dimension are kept with their own tests after the library
 stopped using them.  The weld search, which finds a stellar sequence by
@@ -1195,6 +1198,17 @@ def _grid_cross(o, a, b):
 def _grid_on_segment(p, a, b):
     return (_grid_cross(a, b, p) == 0
             and (p[0] - a[0]) * (p[0] - b[0]) + (p[1] - a[1]) * (p[1] - b[1]) <= 0)
+
+
+def points_in_triangle_by_scan(points, a, b, c):
+    """The grid pairs of `points` in the closed non-degenerate triangle abc,
+    in either orientation, in their order: one orientation test per point
+    and edge, the whole-grid scan the library replaced with half-plane
+    masks kept per group."""
+    if _grid_cross(a, b, c) < 0:
+        b, c = c, b
+    return [p for p in points if _grid_cross(a, b, p) >= 0
+            and _grid_cross(b, c, p) >= 0 and _grid_cross(c, a, p) >= 0]
 
 
 def weld_heights(T, late=None):

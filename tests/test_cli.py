@@ -314,6 +314,21 @@ def test_each_command_builds_N2_once(monkeypatch, capsys):
         assert len(calls) == 1, command
 
 
+def test_moduli_reads_the_context_maximal_resolution(monkeypatch, capsys):
+    # the containment check of every moduli request after the first reads
+    # the maximal resolution the group's context keeps
+    calls = []
+    real = clab.cli.maximal_resolution
+    monkeypatch.setattr(clab.cli, "maximal_resolution",
+                        lambda N2: calls.append(N2) or real(N2))
+    _context.cache_clear()
+    for seed in range(3):
+        code, _, _ = run_cli(capsys, "--n", "7", "--gens", "1,3", "moduli",
+                             "--seed", str(seed))
+        assert code == 0
+    assert len(calls) == 1
+
+
 def test_usage_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "--n", "2", "--gens", "bogus", "group")
     assert code == 2
@@ -605,6 +620,6 @@ def test_reply_encoder_matches_json_dumps(capsys):
                                               None, (1, [2, ()])],
            "": [{"x": 0, "X": ""}]}
     assert _json(odd) == json.dumps(odd, sort_keys=True, indent=2)
-    for bad in (1.5, {1: 2}, {"a": {1, 2}}, [b"x"]):
+    for bad in (1.5, {1: 2}, {"a": {1, 2}}, [b"x"], [1.5]):
         with pytest.raises(TypeError):
             _json(bad)

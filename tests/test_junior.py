@@ -241,9 +241,9 @@ def test_regularity_certificate_exists_for_constructions():
             assert isinstance(cert, PLSupportFunction)
 
 
-def test_regularity_refusal_on_spiral(monkeypatch):
-    # classical non-regular example: two nested triangles, spiral
-    # triangulation; embedded on the junior plane with denominator 8
+def _spiral():
+    """The classical non-regular example: two nested triangles, spiral
+    triangulation; embedded on the junior plane with denominator 8."""
     L = lattice_from_generators(
         3, [(F(1, 8), 0, F(-1, 8)), (0, F(1, 8), F(-1, 8))]
     )
@@ -259,7 +259,11 @@ def test_regularity_refusal_on_spiral(monkeypatch):
         (a2, a3, b2), (a3, b2, b3),
         (a3, a1, b3), (a1, b3, b1),
     ]
-    T = make_triangulation(L, spiral)
+    return make_triangulation(L, spiral)
+
+
+def test_regularity_refusal_on_spiral(monkeypatch):
+    T = _spiral()
     assert T.insertions == ()
     lps = []
     monkeypatch.setattr(junior, "solve_feasibility",
@@ -323,7 +327,9 @@ def test_wall_rows_reject_overlapping_triangles():
     A = cyclic(3, 1, 1)
     b = vec(F(1, 3), F(1, 3), F(1, 3))
     T = make_triangulation(build_junior(A).lattice, [(E1, E2, E3), (E1, E2, b)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="overlap"):
+        T.walls
+    with pytest.raises(ValueError, match="overlap"):
         nef_cone(T)
 
 
@@ -380,10 +386,35 @@ def test_slice_from_lattice_matches_stabilizer_oracle():
     assert len(groups) == 126
     trivial = 0
     for A in groups:
-        W = slice_resolution(build_junior(A).lattice)
-        assert W == slice_resolution_by_stabilizer(A), A
+        J = build_junior(A)
+        W = slice_resolution(J.lattice)
+        assert W == J.slice == slice_resolution_by_stabilizer(A), A
         trivial += W.lattice.N == 1
     assert 0 < trivial < len(groups)
+
+
+def test_triangulations_carry_the_slice_their_group_keeps(monkeypatch):
+    # the junior simplex builds its slice resolution once; the
+    # triangulations it contains carry it, so certifying them rebuilds none
+    A = build_action(9, [(1, 2), (0, 3)])
+    J = build_junior(A)
+    W = J.slice
+    Ts = [build_containing_triangulation(J, Y)
+          for Y in enumerate_admissible_resolutions(build_N2(A))[::5]]
+    # a triangulation made from its triangles alone reads the lattice
+    twin = make_triangulation(
+        J.lattice, [[Ts[0].points[i] for i in t] for t in Ts[0].triangles])
+    assert twin.slice is None
+    assert junior._slice_edge(twin) == junior._slice_edge(Ts[0])
+
+    def rebuilt(N3):
+        raise AssertionError("the slice resolution was rebuilt")
+
+    monkeypatch.setattr(junior, "slice_resolution", rebuilt)
+    for T in Ts:
+        assert T.slice is W
+        assert amp_restriction_surjective(T)
+    assert J.slice is W
 
 
 def test_amp_restriction_trivial_slice():
@@ -704,6 +735,60 @@ def test_junior_point_filter_equals_lattice_scan(monkeypatch, n, gens):
     for Y in resolutions:
         build_containing_triangulation(J, Y)
     assert len(visited) >= len(resolutions)
+
+
+# the golden sweep's triangulate groups
+GOLDEN_GROUPS = TRIANGULATE_GROUPS + [(12, [(1, 1), (0, 4)]), (9, [(1, 2), (0, 3)])]
+
+
+def test_halfplane_masks_match_the_grid_scan(monkeypatch):
+    # every sub-triangle the construction visits, over every admissible
+    # resolution of the golden groups, against the whole-grid scan; the
+    # construction visits counter-clockwise triangles, so each is also
+    # checked with two vertices swapped.  The masks a group keeps are at
+    # most one per ordered pair of grid points
+    masked = junior._points_in_triangle
+    turns = set()
+
+    def checked(J, a, b, c):
+        for tri in ((a, b, c), (a, c, b)):
+            assert masked(J, *tri) == oracles.points_in_triangle_by_scan(
+                J.grid, *tri)
+        turns.add(junior._cross(a, b, c) > 0)
+        return masked(J, a, b, c)
+
+    monkeypatch.setattr(junior, "_points_in_triangle", checked)
+    count = 0
+    for n, gens in GOLDEN_GROUPS:
+        A = build_action(n, gens)
+        J = build_junior(A)
+        for Y in enumerate_admissible_resolutions(build_N2(A)):
+            build_containing_triangulation(J, Y)
+            count += 1
+        assert 0 < len(J._halfplanes) <= len(J.grid) ** 2
+    assert count == 226 + 81 + 125
+    assert turns == {True}
+
+
+def test_walls_densify_to_wall_rows():
+    # the sparse rows the certificates read against the dense rows of the
+    # LPs and the nef cone, on every admissible resolution of the golden
+    # groups and on the two spirals, which record no insertions
+    Ts = [_spiral(), _spiral_twin()]
+    for n, gens in GOLDEN_GROUPS:
+        A = build_action(n, gens)
+        J = build_junior(A)
+        Ts += [build_containing_triangulation(J, Y)
+               for Y in enumerate_admissible_resolutions(build_N2(A))]
+    for T in Ts:
+        interior = sorted(e for e, ts in T.edge_triangles().items()
+                          if len(ts) == 2)
+        assert [edge for edge, _ in T.walls] == interior
+        for _, entries in T.walls:
+            assert len(dict(entries)) == 4
+        assert T.wall_rows == tuple(
+            (edge, tuple(dict(entries).get(i, 0) for i in range(len(T.grid))))
+            for edge, entries in T.walls)
 
 
 # ---------------------------------------------------------------------------
