@@ -225,9 +225,7 @@ class Triangulation:
         overlap."""
         walls = []
         g = self.grid
-        e2t = self._edge_map
-        for edge in sorted(e2t):
-            tris = e2t[edge]
+        for edge, tris in sorted(self._edge_map.items()):
             if len(tris) != 2:
                 continue
             t1, t2 = tris
