@@ -48,16 +48,19 @@ from .surface import (
     minimal_resolution,
     resolution_from_grid,
 )
-from .thetaspace import sample_generic, verify_main_theorem
+from .thetaspace import _audit, sample_generic
 
 COMMANDS = ("group", "minres", "maxres", "resolutions", "triangulate",
             "moduli", "verify")
 FORMATS = ("text", "json", "svg", "dot")
 # `moduli` and `verify` enumerate the torus-fixed supports and sample
-# generic thetas, and both grow steeply with |G|.  A cold `moduli` on one
-# core of CPython 3.11 takes 0.7 s at 1/11(1,3), 9 s at 1/14(1,3), 23 s at
-# 1/15(1,2) and 58 s at 1/16(1,3); at order 18 `sample_generic` can run out
-# of its draws, and the subset-sum table has 2^|G| entries.
+# generic thetas, and both grow steeply with |G|.  A cold `moduli` process
+# on one core of CPython 3.11 takes 0.4 s at 1/11(1,3), 0.5 s at 1/12(1,5),
+# 0.7 s at 1/13(1,3), 1.1 s at 1/14(1,3), 1.2 s at 1/15(1,2) and 6 s at
+# 1/16(1,3), most of it in the candidates' stability masks.  The bound
+# stays at 14 for the sampler: a generic theta takes 41 draws on average
+# at order 14 and 173 at order 16, each with a subset-sum table of 2^|G|
+# entries, and at order 18 `sample_generic` can run out of its draws.
 MAX_MODULI_ORDER = 14
 # Cold, `triangulate --resolution max` takes 0.2 s at order 289 (1/17(1,0;0,1))
 # but 10 s at order 3000, and `group` 10 s at order 10^6.  Below this bound,
@@ -415,9 +418,12 @@ def run(cfg: RunConfig):
         return code, _emit(cfg, payload, drawing=_drawing(cfg, fan))
 
     if cfg.command == "verify":
+        ctx = _context(A)
+        admissible = (resolution_from_grid(ctx.N2, grid)
+                      for grid in ctx.admissible)
         # the context's quiver may carry another presentation of the group
-        rep = replace(verify_main_theorem(_context(A).quiver, cfg.samples,
-                                          cfg.budget, seed=cfg.seed), action=A)
+        rep = replace(_audit(ctx.quiver, ctx.maxres, admissible, cfg.samples,
+                             cfg.budget, cfg.seed), action=A)
         payload = rep.to_json()
         lines = [
             f"only-if audit: {cfg.samples} samples, "

@@ -210,6 +210,17 @@ def fixed_candidates(Q: McKayQuiver):
     Enumerated as connected cell sets S with the trivial character at (0,0)
     and pairwise distinct characters, carrying all degree-compatible arrows;
     acyclicity is automatic since arrows increase i + j.
+
+    The sets grow one frontier cell at a time, each either added or banned
+    (Redelmeier 1981), and square-compatibility prunes the growth.  On
+    cells of distinct characters it says: for each unit square with both
+    diagonal corners (i, j), (i+1, j+1) in S, (i+1, j) is in S iff (i, j+1)
+    is.  A cell is dead when S can never gain it: it is banned, or another
+    cell of S has its character.  Once a square with the added or banned
+    cell as a corner has both diagonal corners and one off-diagonal corner
+    in S and the other dead, no extension of S is compatible, so the branch
+    stops there.  The check reads only the squares at that cell, so
+    `_constellation_from_cells` still checks every finished set.
     """
     m = Q.order
     out = []
@@ -217,6 +228,19 @@ def fixed_candidates(Q: McKayQuiver):
     def neighbors(cell):
         i, j = cell
         return [(i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)]
+
+    def broken(cells, chars, banned, cell):
+        # a square with `cell` as a corner that no extension can mend
+        i, j = cell
+        for a, b in ((i, j), (i - 1, j), (i, j - 1), (i - 1, j - 1)):
+            if (a, b) not in cells or (a + 1, b + 1) not in cells:
+                continue
+            p, q = (a + 1, b), (a, b + 1)
+            if (p in cells) != (q in cells):
+                off = q if p in cells else p
+                if off in banned or Q.vertex_index(*off) in chars:
+                    return True
+        return False
 
     def grow(cells, chars, frontier, banned):
         if len(cells) == m:
@@ -227,14 +251,17 @@ def fixed_candidates(Q: McKayQuiver):
         head, rest = frontier[0], frontier[1:]
         ch = Q.vertex_index(*head)
         if ch not in chars:
-            new_nb = [
-                nb for nb in neighbors(head)
-                if nb not in cells and nb not in banned and nb not in rest
-                and nb != head
-            ]
-            grow(cells | {head}, chars | {ch}, rest + sorted(set(new_nb)),
-                 banned)
-        grow(cells, chars, rest, banned | {head})
+            added, known = cells | {head}, chars | {ch}
+            if not broken(added, known, banned, head):
+                new_nb = [
+                    nb for nb in neighbors(head)
+                    if nb not in cells and nb not in banned and nb not in rest
+                    and nb != head
+                ]
+                grow(added, known, rest + sorted(set(new_nb)), banned)
+        banned = banned | {head}
+        if not broken(cells, chars, banned, head):
+            grow(cells, chars, rest, banned)
 
     grow({(0, 0)}, {Q.vertex_index(0, 0)}, sorted(set(neighbors((0, 0)))),
          frozenset())

@@ -44,11 +44,19 @@ def sample_generic(A: AbelianAction, seed: int) -> Theta:
     m = A.order
     if m == 1:
         return make_theta([0])
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     bound = 20 * m
-    width = 2 * bound + 1  # the draws of randint(-bound, bound), in one call
+    width = 2 * bound + 1
+    k = width.bit_length()
     for _ in range(_SAMPLE_ATTEMPTS):
-        vals = [rng.randrange(width) - bound for _ in range(m - 1)]
+        # the draws of randint(-bound, bound): k random bits, redrawn until
+        # they fall below width, as `Random.randrange` draws them
+        vals = []
+        for _ in range(m - 1):
+            r = getrandbits(k)
+            while r >= width:
+                r = getrandbits(k)
+            vals.append(r - bound)
         vals.append(-sum(vals))
         theta = make_theta(vals)
         if is_generic(theta):
@@ -160,11 +168,19 @@ def verify_main_theorem(Q: McKayQuiver, samples: int, budget: int,
     """(i) only-if audit: every sampled generic fan uses only rays of the
     maximal resolution; (ii) if audit: every admissible resolution is
     realized by some sampled generic theta within the budget."""
+    N2 = Q.N2
+    return _audit(Q, maximal_resolution(N2),
+                  enumerate_admissible_resolutions(N2), samples, budget, seed)
+
+
+def _audit(Q, maxres, admissible, samples, budget, seed):
+    """`verify_main_theorem` on the maximal resolution and the admissible
+    resolutions of Q's group, whose parts a caller may keep from request to
+    request; the realizations follow the order of `admissible`."""
     if samples < 0:
         raise ValueError("samples must be at least 0")
     A = Q.action
-    N2 = Q.N2
-    max_rays = set(maximal_resolution(N2).grid)
+    max_rays = set(maxres.grid)
     fans = {}
     violations = []
     counts = []
@@ -174,7 +190,6 @@ def verify_main_theorem(Q: McKayQuiver, samples: int, budget: int,
         counts.append(len(fan.grid) - 1)
         if not set(fan.grid) <= max_rays:
             violations.append((theta.to_json(), fan.to_json()))
-    admissible = enumerate_admissible_resolutions(N2)
     outcomes = [realize_resolution(Q, Y, budget, derive_seed(seed, 10**6 + j))
                 for j, Y in enumerate(admissible)]
     return RealizationReport(

@@ -13,7 +13,9 @@ with direct constructions, and the stable supports of a theta by the
 per-candidate test, on theta summed over each mask, that the library
 replaced with a scan of one subset-sum table per theta.  The admissible
 sequences are also listed by the sorted product of per-gap fills that the
-library replaced with a decoder by index.  The simplex itself,
+library replaced with a decoder by index, and the torus-fixed supports by
+growing every connected cell set whole and then filtering, which the
+library replaced with a growth pruned by square-compatibility.  The simplex itself,
 the resolution check, the primitive points, lattice-basis determinants and
 lifts to the junior simplex, the triangle scan (here of any rational
 triangle), the maximal rays (here by a primitive-point test per point), the
@@ -28,7 +30,8 @@ The slice group of the junior simplex, which the library reads off the
 residues of N3, is recomputed from the action's elements.  The McKay
 character table is kept as the library first built it, over every pair mod
 n, and the theta sampler's stream as first drawn, by `randint`, with the
-genericity certificate on `theta_of_masks`.
+genericity certificate by a subset-sum bitset instead of the library's
+table of every subset.
 The lattice points of a sub-triangle of the junior simplex, which the
 library reads off half-plane bitmasks kept per group, are recomputed by a
 scan of the whole grid.
@@ -57,9 +60,9 @@ from clab.linprog import Feasibility, solve_feasibility
 from clab.quiver import (
     ARROW_STEP,
     Theta,
+    _constellation_from_cells,
     build_mckay_quiver,
     fixed_candidates,
-    make_theta,
 )
 from clab.surface import (
     _blowups,
@@ -574,6 +577,46 @@ def admissible_by_sorted_product(N2):
     return out
 
 
+def fixed_candidates_by_filter(Q):
+    """The supports of `fixed_candidates(Q)`, in its order: every connected
+    cell set with the trivial character at (0, 0) and pairwise distinct
+    characters, grown whole and then kept if `_constellation_from_cells`
+    finds it square-compatible."""
+    m = Q.order
+    out = []
+
+    def neighbors(cell):
+        i, j = cell
+        return [(i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)]
+
+    def grow(cells, chars, frontier, banned):
+        if len(cells) == m:
+            out.append(frozenset(cells))
+            return
+        if not frontier:
+            return
+        head, rest = frontier[0], frontier[1:]
+        ch = Q.vertex_index(*head)
+        if ch not in chars:
+            new_nb = [
+                nb for nb in neighbors(head)
+                if nb not in cells and nb not in banned and nb not in rest
+                and nb != head
+            ]
+            grow(cells | {head}, chars | {ch}, rest + sorted(set(new_nb)),
+                 banned)
+        grow(cells, chars, rest, banned | {head})
+
+    grow({(0, 0)}, {Q.vertex_index(0, 0)}, sorted(set(neighbors((0, 0)))),
+         frozenset())
+    result = []
+    for cells in sorted(out, key=sorted):
+        cand = _constellation_from_cells(Q, cells)
+        if cand is not None:
+            result.append(cand)
+    return tuple(result)
+
+
 def _successors(Q, arrows):
     succ = [0] * Q.order
     for kind, tail in arrows:
@@ -619,11 +662,24 @@ def theta_of_masks(theta: Theta):
             for mask in range(1 << len(vals))]
 
 
+def has_zero_subset(vals):
+    """Whether some nonempty subset of vals sums to zero, by a subset-sum
+    bitset: bit s + off of `sums` is set iff a nonempty subset sums to s."""
+    off = sum(map(abs, vals))
+    sums = 0
+    for v in vals:
+        sums |= (sums << v if v >= 0 else sums >> -v) | 1 << (off + v)
+    return bool(sums >> off & 1)
+
+
 def sample_by_randint(A, seed):
     """The values of the theta `sample_generic(A, seed)` draws, and how many
     draws it took: integers in [-20 |G|, 20 |G|] by `randint`, the last one
     closing the sum to zero, until theta is nonzero on every nonempty proper
-    subset of characters."""
+    subset of characters.  As theta sums to zero, a nonempty proper subset
+    and its complement sum to zero together, and one of them avoids the
+    last character: so theta passes iff no nonempty subset of the first
+    |G| - 1 values sums to zero."""
     m = A.order
     if m == 1:
         return (0,), 0
@@ -631,9 +687,8 @@ def sample_by_randint(A, seed):
     bound = 20 * m
     for draws in itertools.count(1):
         vals = [rng.randint(-bound, bound) for _ in range(m - 1)]
-        vals.append(-sum(vals))
-        if 0 not in theta_of_masks(make_theta(vals))[1:-1]:
-            return tuple(vals), draws
+        if not has_zero_subset(vals):
+            return (*vals, -sum(vals)), draws
 
 
 def stable_by_masks(Q, theta: Theta):

@@ -21,8 +21,9 @@ from clab.cli import (
     _select_resolution,
     main,
 )
-from clab.quiver import enumerate_fixed_stable
+from clab.quiver import build_mckay_quiver, enumerate_fixed_stable
 from clab.surface import build_action, enumerate_admissible_resolutions
+from clab.thetaspace import verify_main_theorem
 
 from .test_golden import GOLDEN, digest
 from .test_golden import cases as golden_cases
@@ -522,6 +523,34 @@ def test_repeated_request_builds_no_group_state(capsys, monkeypatch):
     second = run_cli(capsys, *argv)
     assert calls == []
     assert first[0] == second[0] == 0
+
+
+def test_repeated_verify_rescans_no_resolution(capsys, monkeypatch):
+    # a verify request after the first reads the maximal resolution and the
+    # admissible sequences the context keeps
+    calls = []
+    for name in ("_minimal_rays", "_maximal_rays"):
+        real = getattr(clab.surface, name)
+        monkeypatch.setattr(clab.surface, name, lambda N2, name=name,
+                            real=real: calls.append(name) or real(N2))
+    argv = ("--n", "4", "--gens", "1,1;2,0", "verify", "--samples", "5",
+            "--format", "json")
+    _context.cache_clear()
+    first = run_cli(capsys, *argv)
+    assert calls
+    calls.clear()
+    second = run_cli(capsys, *argv)
+    assert calls == []
+    assert first[0] == second[0] == 0
+    replies = [json.loads(out) for _, out, _ in (first, second)]
+    for body in replies:
+        body.pop("generated_at")
+    assert replies[0] == replies[1]
+    want = verify_main_theorem(
+        build_mckay_quiver(build_action(4, [(1, 1), (2, 0)])), samples=5,
+        budget=10000).to_json()
+    assert {key: replies[0][key] for key in want} == want
+    assert len(want["realizations"]) == 4
 
 
 def test_moduli_and_verify_share_the_context_quiver(capsys, monkeypatch):

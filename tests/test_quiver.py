@@ -27,6 +27,7 @@ from clab.surface import build_action, build_N2, is_small, minimal_resolution
 from .oracles import (
     character_table_mod_n,
     characters_by_annihilator,
+    fixed_candidates_by_filter,
     fm_cone_of_support,
     hnf_N2,
     lp_limit_feasible,
@@ -125,6 +126,17 @@ def test_quiver_trivial_group():
     # loops are excluded from supports: the only fixed constellation is empty
     cands = fixed_candidates(Q)
     assert len(cands) == 1 and cands[0].arrows == ()
+
+
+def test_fixed_candidates_match_filter_oracle():
+    # the pruned growth keeps exactly the sets the whole-set filter keeps,
+    # in the same order
+    groups = _subgroups(10) + [cyclic(11, 1, 3), cyclic(12, 1, 5)]
+    for A in groups:
+        Q = build_mckay_quiver(A)
+        got = [(c.arrows, c.degrees) for c in fixed_candidates(Q)]
+        want = [(c.arrows, c.degrees) for c in fixed_candidates_by_filter(Q)]
+        assert got == want, A
 
 
 def test_quiver_klein_four():

@@ -93,6 +93,15 @@ def test_sampler_stream_matches_randint_reference(group):
         assert sample_generic(A, seed).values == sample_by_randint(A, seed)[0]
 
 
+@pytest.mark.parametrize("order", range(1, 15))
+def test_sampler_stream_matches_randint_reference_at_every_order(order):
+    # the inline draw loop, at every order `moduli` and `verify` serve
+    A = build_action(order, [(1, 1)])
+    assert A.order == order
+    for seed in range(200):
+        assert sample_generic(A, seed).values == sample_by_randint(A, seed)[0]
+
+
 def test_sampled_theta_hands_its_table_to_the_first_scan():
     # the theta carries its values only; the table that certified it waits
     # in quiver's one slot for the first scan at that very object
