@@ -9,7 +9,6 @@ and surface resolutions (`surface`), the junior simplex and triangulations
 
 from .lattice import (
     Lattice,
-    is_member,
     lattice_from_generators,
     primitive_point,
     triangle_grid,
@@ -24,7 +23,6 @@ from .surface import (
     enumerate_admissible_resolutions,
     is_dominated_by_max,
     is_small,
-    make_resolution,
     maximal_resolution,
     minimal_resolution,
     resolution_from_grid,
@@ -38,8 +36,6 @@ from .junior import (
     build_containing_triangulation,
     build_junior,
     is_basic,
-    make_triangulation,
-    nef_cone,
     regularity_certificate,
 )
 from .quiver import (
@@ -51,7 +47,6 @@ from .quiver import (
     is_generic,
     make_theta,
     moduli_fan,
-    ps_limit,
 )
 from .thetaspace import (
     RealizationReport,
@@ -69,11 +64,9 @@ __all__ = [
     "amp_restriction_surjective", "boundary_divisor", "build_action",
     "build_containing_triangulation", "build_junior", "build_mckay_quiver",
     "build_N2", "enumerate_admissible_resolutions", "enumerate_fixed_stable",
-    "is_basic", "is_dominated_by_max", "is_generic", "is_member", "is_small",
-    "lattice_from_generators", "make_resolution", "make_theta",
-    "make_triangulation", "maximal_resolution", "minimal_resolution",
-    "moduli_fan", "nef_cone", "primitive_point", "ps_limit",
-    "realize_resolution",
-    "regularity_certificate", "resolution_from_grid", "sample_generic",
-    "triangle_grid", "verify_main_theorem",
+    "is_basic", "is_dominated_by_max", "is_generic", "is_small",
+    "lattice_from_generators", "make_theta", "maximal_resolution",
+    "minimal_resolution", "moduli_fan", "primitive_point",
+    "realize_resolution", "regularity_certificate", "resolution_from_grid",
+    "sample_generic", "triangle_grid", "verify_main_theorem",
 ]

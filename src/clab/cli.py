@@ -267,7 +267,8 @@ class _GroupContext:
 
     minres = functools.cached_property(lambda s: minimal_resolution(s.N2))
     maxres = functools.cached_property(lambda s: maximal_resolution(s.N2))
-    admissible = functools.cached_property(lambda s: AdmissibleSequences(s.N2))
+    admissible = functools.cached_property(
+        lambda s: AdmissibleSequences(s.minres, s.maxres))
 
 
 # keyed by the action, whose equality ignores the generator presentation;
@@ -349,7 +350,7 @@ def run(cfg: RunConfig):
         payload["resolutions"] = [Y.to_json() for Y in res]
         payload["text"] = "\n".join(
             [f"{len(res)} admissible resolutions"]
-            + [f"[{i}] {len(Y.exceptional_rays)} exceptional rays"
+            + [f"[{i}] {len(Y.grid) - 2} exceptional rays"
                for i, Y in enumerate(res)]
         )
         return 0, _emit(cfg, payload)

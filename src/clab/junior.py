@@ -1,6 +1,6 @@
 """The SL(3) side: junior simplex, lifts of surface rays, basic triangulations,
 the recursive star-subdivision construction of a projective crepant 3-fold
-containing a chosen surface resolution, the nef cone, and the regularity and
+containing a chosen surface resolution, and the regularity and
 ample-restriction certificates, replayed from the stellar insertions the
 construction records and checked, with an LP fallback.
 
@@ -13,9 +13,8 @@ areas, wall rows) has an exact integer answer on the pairs.  The lex order
 of the pairs is the lex order of the points.  A surface ray keeps the
 same pair: N2 and N3 both have index |G|, so the N-scaled pair (X, Y) of a
 ray (a, b) in `Resolution.grid` is the pair of its lift (a, b, 1 - a - b)
-to the junior plane.  Fractions are built only where a point leaves the
-module, in `JuniorSimplex.points` and `Triangulation.points`; the exact
-strings of `to_json` come from the pairs, one gcd per coordinate.
+to the junior plane.  Fractions are built only in `JuniorSimplex.points`;
+the exact strings of `to_json` come from the pairs, one gcd per coordinate.
 """
 
 from __future__ import annotations
@@ -32,6 +31,8 @@ from .lattice import (
     triangle_grid,
     vec,
 )
+# the LP fallback keeps this import, which is also what loads `clab.linprog`
+# for a caller that imports `clab.cli` alone (perfbench/run.py)
 from .linprog import solve_feasibility
 from .surface import (
     AbelianAction,
@@ -52,26 +53,6 @@ class InadmissibleResolutionError(ValueError):
 class TriangulationError(RuntimeError):
     """A construction or certificate on the junior simplex failed its own
     check (internal consistency)."""
-
-
-def _to_grid(p, N):
-    """The pair (N x, N y) of a junior-plane point (x, y, z) with rational
-    coordinates; ValueError if it is off the plane or off the (1/N)-grid."""
-    scaled = []
-    for c in p:
-        if N % c.denominator:
-            raise ValueError(f"{p} is off the (1/{N})-grid of the lattice")
-        scaled.append(c.numerator * (N // c.denominator))
-    X, Y, Z = scaled
-    if X + Y + Z != N:
-        raise ValueError(f"{p} is off the junior plane")
-    return X, Y
-
-
-def _points(grid, N):
-    """The junior-plane points (x, y, z) of grid pairs, in their order."""
-    return tuple((Fraction(X, N), Fraction(Y, N), Fraction(N - X - Y, N))
-                 for X, Y in grid)
 
 
 @dataclass(frozen=True)
@@ -95,8 +76,11 @@ class JuniorSimplex:
 
     @functools.cached_property
     def points(self):
-        """The points (x, y, z), in the order of `grid`."""
-        return _points(self.grid, self.lattice.N)
+        """The points (x, y, z), in the order of `grid`.  No command reads
+        them; the benchmark's set-up counts them (perfbench/workloads.py)."""
+        N = self.lattice.N
+        return tuple((Fraction(X, N), Fraction(Y, N), Fraction(N - X - Y, N))
+                     for X, Y in self.grid)
 
     @functools.cached_property
     def slice(self):
@@ -170,13 +154,8 @@ class Triangulation:
     grid: tuple
     triangles: tuple
     lattice: Lattice = field(repr=False)
-    insertions: tuple = field(default=(), repr=False, compare=False)
-    slice: Resolution | None = field(default=None, repr=False, compare=False)
-
-    @functools.cached_property
-    def points(self):
-        """The points (x, y, z), in the order of `grid`."""
-        return _points(self.grid, self.lattice.N)
+    insertions: tuple = field(repr=False, compare=False)
+    slice: Resolution = field(repr=False, compare=False)
 
     @functools.cached_property
     def point_strs(self):
@@ -201,10 +180,6 @@ class Triangulation:
                 e2t.setdefault((i, j), []).append(t)
         return e2t
 
-    def neighbors_of(self, point):
-        idx = self.grid.index(_to_grid(vec(*point), self.lattice.N))
-        return tuple(self.points[i] for i in self._neighbors(idx))
-
     def _neighbors(self, idx):
         """The indices joined to the point of index idx by an edge, sorted."""
         return sorted({i for t in self.triangles if idx in t for i in t} - {idx})
@@ -219,10 +194,9 @@ class Triangulation:
         the area |cross(a, b, c)| (N on a basic triangulation), which leaves
         every sign and every feasibility verdict as it is.  A row sums to 0,
         as the barycentric coordinates sum to 1, so adding a constant to
-        every height changes no row.  The regularity, nef-cone and
-        amp-restriction computations all read these rows, so they are built
-        once per triangulation.  ValueError if two triangles on a wall
-        overlap."""
+        every height changes no row.  The regularity and amp-restriction
+        computations both read these rows, so they are built once per
+        triangulation.  ValueError if two triangles on a wall overlap."""
         walls = []
         g = self.grid
         for edge, tris in sorted(self._edge_map.items()):
@@ -245,8 +219,7 @@ class Triangulation:
 
     @functools.cached_property
     def wall_rows(self):
-        """`walls` with each row dense over the points, for the LPs and the
-        nef cone."""
+        """`walls` with each row dense over the points, for the LPs."""
         n = len(self.grid)
         rows = []
         for edge, entries in self.walls:
@@ -263,16 +236,7 @@ class Triangulation:
         }
 
 
-def make_triangulation(lattice: Lattice, triangles) -> Triangulation:
-    """The triangulation with the given triangles of junior-plane points;
-    ValueError if a point is off the plane or off the lattice's
-    (1/N)-grid."""
-    N = lattice.N
-    return _triangulation(lattice, [tuple(_to_grid(vec(*p), N) for p in t)
-                                    for t in triangles])
-
-
-def _triangulation(lattice, tris, insertions=(), slice_res=None):
+def _triangulation(lattice, tris, insertions, slice_res):
     # tris: triangles of grid pairs; insertions: (point, host) of grid pairs
     pts = sorted({p for t in tris for p in t})
     index = {p: i for i, p in enumerate(pts)}
@@ -307,7 +271,7 @@ def is_basic(T: Triangulation) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# regularity, nef cone, ample restriction
+# regularity, ample restriction
 
 
 @dataclass(frozen=True)
@@ -361,29 +325,6 @@ def _regularity_lp(T):
     return RegularityRefusal(support, res.farkas)
 
 
-@dataclass(frozen=True)
-class NefCone:
-    """The cone of convex support functions on a triangulation, as weak wall
-    inequalities on the height space modulo affine-linear functions."""
-
-    triangulation: Triangulation = field(compare=False)
-    rows: tuple  # (edge, coefficient row over points)
-
-    def ambient_dim(self):
-        return len(self.triangulation.grid) - 3
-
-    def contains(self, heights, strict=False):
-        for _, r in self.rows:
-            v = sum(c * h for c, h in zip(r, heights))
-            if v < 0 or (strict and v == 0):
-                return False
-        return True
-
-
-def nef_cone(T: Triangulation) -> NefCone:
-    return NefCone(T, T.wall_rows)
-
-
 def slice_resolution(N3: Lattice) -> Resolution:
     """The minimal resolution W of C^2/Z for the transverse slice along the
     e2-e3 edge.  Z, the stabilizer of (1,0), is the residues of N3 with
@@ -426,7 +367,7 @@ def _slice_edge(T):
     index = {p: i for i, p in enumerate(T.grid)}
     if (N, 0) not in index:
         raise ValueError("e1 is not a vertex of the triangulation")
-    W = slice_resolution(T.lattice) if T.slice is None else T.slice
+    W = T.slice
     # the slice ray (a, b) is the junior point (0, a, b), with grid pair
     # (0, N a); W's pairs are scaled by the index of its lattice, |Z|
     scale = N // W.lattice.N

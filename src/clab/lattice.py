@@ -70,15 +70,6 @@ class Lattice:
     N: int
     residues: frozenset  # tuples in [0, N)^dim
 
-    @property
-    def index(self) -> Fraction:
-        """The covolume of L; equals 1/[L : Z^dim]."""
-        return Fraction(1, self.N)
-
-    def denominator_bound(self) -> int:
-        """N such that L is contained in (1/N) Z^dim; N = [L : Z^dim]."""
-        return self.N
-
 
 def lattice_from_generators(dim, gens) -> Lattice:
     """The lattice Z^dim + sum_i Z*g_i.
@@ -98,20 +89,6 @@ def lattice_from_generators(dim, gens) -> Lattice:
     N = len(group)
     s = N // E
     return Lattice(dim, N, frozenset(tuple(s * c for c in r) for r in group))
-
-
-def is_member(L: Lattice, v) -> bool:
-    """True iff v lies in L."""
-    if len(v) != L.dim:
-        raise ValueError("dimension mismatch")
-    N = L.N
-    r = []
-    for c in v:
-        c = Fraction(c)
-        if N % c.denominator:
-            return False
-        r.append(c.numerator * (N // c.denominator) % N)
-    return tuple(r) in L.residues
 
 
 def primitive_point(L: Lattice, V):

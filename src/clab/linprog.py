@@ -26,9 +26,6 @@ class Feasibility:
     point: tuple | None = None
     farkas: tuple | None = None  # multipliers over rows as given: eqs then ges
 
-    def __bool__(self):
-        return self.feasible
-
 
 def _primitive(row):
     g = gcd(*row)

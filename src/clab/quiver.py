@@ -1,5 +1,5 @@
-"""McKay quivers of abelian actions, torus-fixed stable constellations,
-one-parameter-subgroup limits and the toric fan of the moduli space.
+"""McKay quivers of abelian actions, torus-fixed stable constellations and
+the toric fan of the moduli space, cut from the cones of the stable ones.
 
 Vertices are the characters of G.  A torus-fixed support is encoded by the
 cells it occupies in the character/degree plane: weight-consistency amounts
@@ -16,16 +16,12 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .lattice import Lattice, cross2, is_member, primitive_point, rat_str
+from .lattice import Lattice, cross2, primitive_point, rat_str
 from .surface import AbelianAction, Resolution, build_N2, resolution_from_grid
 
 
 class NonGenericThetaError(ValueError):
     """The stability parameter sits on a wall."""
-
-
-class NoLimitSupportError(RuntimeError):
-    """No stable support is feasible: u lies on a fan ray or theta on a wall."""
 
 
 class ModuliFanError(RuntimeError):
@@ -68,10 +64,6 @@ class McKayQuiver:
         if kind == "y":
             return self.vertex_index(u, v + 1)
         raise ValueError(kind)
-
-    @property
-    def trivial_vertex(self) -> int:
-        return self.table[0, 0]
 
     def arrows(self):
         return tuple(
@@ -385,7 +377,9 @@ def _stable(Q: McKayQuiver, table):
 
 
 # bounded; the moduli fan does not go through this cache, so the thetas
-# `verify` samples do not fill it
+# `verify` samples do not fill it.  No command calls this function: it stays
+# because the benchmark tracer (perfbench/tracing.py) reads its
+# `cache_info()`, and leaves with that reader
 @lru_cache(maxsize=4096)
 def enumerate_fixed_stable(Q: McKayQuiver, theta: Theta):
     """All torus-fixed theta-stable supports."""
@@ -395,40 +389,7 @@ def enumerate_fixed_stable(Q: McKayQuiver, theta: Theta):
 
 
 # ---------------------------------------------------------------------------
-# limits and the moduli fan
-
-
-def _limit_feasible(c: FixedConstellation, u) -> bool:
-    """Whether gauge potentials exist at u with e(a) = 0 on the support and
-    e(a) > 0 off it, strictness taken as e(a) >= 1.  The potentials are
-    fixed up to the gauge (see `FixedConstellation.normals`), so this is
-    min <u, d> >= 1 over the normals, and true when there are none.
-
-    Each normal is the exponent of an invariant monomial, so <u, d> is an
-    integer at u in N2 and >= 1 means > 0 there; at other rational u the
-    two differ, and the test stays >= 1."""
-    return all(u[0] * d[0] + u[1] * d[1] >= 1 for d in c.normals())
-
-
-def ps_limit(Q: McKayQuiver, theta: Theta, u) -> FixedConstellation:
-    """The limit constellation along the one-parameter subgroup u: the unique
-    stable support whose gauge potentials are feasible at u.  u must be a
-    point of the open quadrant in `Q.N2`, the lattice of Q's action."""
-    u = tuple(Fraction(x) for x in u)
-    if u[0] <= 0 or u[1] <= 0:
-        raise ValueError("u must lie in the open quadrant")
-    if not is_member(Q.N2, u):
-        raise ValueError("u must be a lattice point of N2")
-    if not is_generic(theta):
-        raise NonGenericThetaError("theta is on a wall")
-    feas = [c for c in enumerate_fixed_stable(Q, theta) if _limit_feasible(c, u)]
-    if not feas:
-        raise NoLimitSupportError(
-            "no feasible stable support: u on a fan ray or theta on a wall"
-        )
-    if len(feas) > 1:
-        raise ModuliFanError("multiple feasible supports at one u")
-    return feas[0]
+# the moduli fan
 
 
 def moduli_fan_cones(Q: McKayQuiver, theta: Theta):

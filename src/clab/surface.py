@@ -7,8 +7,8 @@ Every ray is a primitive point of N2, which lies on the (1/N)-grid, N =
 integer pair (N a, N b).  Every check, the blow-ups and the bound
 a + b <= 1 of Delta' are integer on the pairs, and the lex order of the
 pairs is the lex order of the rays.  Fractions are built only where a
-caller reads rays: `Resolution.rays` and `discrepancies`, and the rational
-input of `make_resolution`; `to_json` writes its strings from the pairs.
+caller reads rays, `Resolution.rays` and `discrepancies`; `to_json` writes
+its strings from the pairs.
 """
 
 from __future__ import annotations
@@ -94,10 +94,6 @@ class BoundaryDivisor:
     @property
     def coefficients(self):
         return (Fraction(self.m1 - 1, self.m1), Fraction(self.m2 - 1, self.m2))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.m1 == 1 and self.m2 == 1
 
 
 def boundary_divisor(N2: Lattice) -> BoundaryDivisor:
@@ -190,20 +186,6 @@ def resolution_from_grid(lattice: Lattice, grid) -> Resolution:
     return Resolution(grid, lattice)
 
 
-def make_resolution(lattice: Lattice, rays) -> Resolution:
-    """The resolution with the given rational rays, validated by
-    `resolution_from_grid` on the rays times N.  A ray off the (1/N)-grid
-    scales to a pair with a non-integer entry, whose residue is in no
-    residue set, so it fails as "not a lattice point", in the same order of
-    checks as any other bad ray."""
-    N = lattice.N
-    grid = []
-    for r in rays:
-        U = tuple(Fraction(x) * N for x in r)
-        grid.append(tuple(u.numerator if u.denominator == 1 else u for u in U))
-    return resolution_from_grid(lattice, grid)
-
-
 def _angle_cmp(u, v):
     c = cross2(u, v)
     return -1 if c > 0 else (1 if c < 0 else 0)
@@ -289,8 +271,9 @@ def _blowups(u, v, N):
 
 
 class AdmissibleSequences(Sequence):
-    """The N-scaled ray sequences of the admissible resolutions, sorted by
-    (number of rays, rays) and decoded by index, none of them validated.
+    """The N-scaled ray sequences of the admissible resolutions between the
+    minimal and the maximal resolution of one lattice, sorted by (number of
+    rays, rays) and decoded by index, none of them validated.
 
     A resolution is one blow-up fill per pair (u, v) of consecutive minimal
     rays: v_0 and then, per gap, one part, the fill and v.  A gap's parts
@@ -298,16 +281,16 @@ class AdmissibleSequences(Sequence):
     are ordered by their parts, gap by gap.  `parts` holds each gap's parts
     sorted, `counts[g][k]` the ways the gaps from g on make k rays."""
 
-    def __init__(self, N2: Lattice):
-        rmin = _minimal_rays(N2)
-        rmax = _maximal_rays(N2)
+    def __init__(self, minres: Resolution, maxres: Resolution):
+        rmin, rmax = minres.grid, maxres.grid
         optional = len(set(rmax) - set(rmin))
         if optional > MAX_OPTIONAL_RAYS:
             raise ValueError(f"too many optional rays ({optional}) for the "
                              "admissible resolutions; at most "
                              f"{MAX_OPTIONAL_RAYS} are served")
         self.first = rmin[:1]
-        self.parts = tuple(sorted(fill + (v,) for fill in _blowups(u, v, N2.N))
+        N = minres.lattice.N
+        self.parts = tuple(sorted(fill + (v,) for fill in _blowups(u, v, N))
                            for u, v in itertools.pairwise(rmin))
         self.counts = [{0: 1}]
         for parts in reversed(self.parts):
@@ -353,8 +336,9 @@ def enumerate_admissible_resolutions(N2: Lattice):
     consecutive ray pairs are unimodular; includes the minimal and maximal.
     Sorted by (number of rays, rays), so an index into the tuple names one
     resolution."""
-    return tuple(resolution_from_grid(N2, grid)
-                 for grid in AdmissibleSequences(N2))
+    sequences = AdmissibleSequences(minimal_resolution(N2),
+                                    maximal_resolution(N2))
+    return tuple(resolution_from_grid(N2, grid) for grid in sequences)
 
 
 def is_dominated_by_max(Y: Resolution) -> bool:

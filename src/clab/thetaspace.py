@@ -82,7 +82,8 @@ class RealizeOutcome:
         return {
             "resolution": self.resolution.to_json(),
             "theta": self.theta.to_json() if self.theta else None,
-            "generic": bool(self.theta and is_generic(self.theta)),
+            # a realizing theta came from `sample_generic`, which certified it
+            "generic": self.realized,
             "realized": self.realized,
             "samples_tried": self.samples_tried,
             "distinct_fans_seen": len(self.distinct_fans),

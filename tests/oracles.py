@@ -47,29 +47,48 @@ Every lattice oracle reads an `HNFLattice`: the canonical Hermite normal
 form basis, with a Fraction solve in it, that the library replaced with
 residue groups.  It is built from generators, never from a library
 lattice's residues.
+
+The paths that no command reaches left the library for the last section
+here, as references the tests compare against: membership of a rational
+point in a library lattice (`is_member`), a resolution from rational rays
+(`make_resolution`), the limit along a one-parameter subgroup
+(`ps_limit`), the paper's definition of the moduli fan, which the library
+replaced with the tiling by the stable supports' cones, a triangulation
+from rational points (`make_triangulation`, with no recorded insertions,
+so its certificates come from the LPs, and the lattice's slice
+resolution), and the nef cone.  `junior_points` and `neighbors` read a
+triangulation's grid pairs as the Fraction points they stand for.
 """
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as F
 from math import ceil, floor, gcd, lcm
 
-from clab.lattice import Lattice, cross2, is_member, lattice_from_generators
+from clab.junior import Triangulation, _triangulation, slice_resolution
+from clab.lattice import Lattice, cross2, lattice_from_generators, vec
 from clab.linprog import Feasibility, solve_feasibility
 from clab.quiver import (
     ARROW_STEP,
+    FixedConstellation,
+    McKayQuiver,
+    ModuliFanError,
+    NonGenericThetaError,
     Theta,
     _constellation_from_cells,
     build_mckay_quiver,
+    enumerate_fixed_stable,
     fixed_candidates,
+    is_generic,
 )
 from clab.surface import (
+    Resolution,
     _blowups,
     _minimal_rays,
-    make_resolution,
     maximal_resolution,
     minimal_resolution,
+    resolution_from_grid,
     sort_rays_by_angle,
 )
 
@@ -1023,7 +1042,8 @@ def det3(u, v, w):
 def covers_simplex(T):
     """Area sum equals area of Delta and triangle interiors are pairwise
     disjoint, on the triangulation's Fraction points."""
-    coords = [tuple(T.points[i] for i in t) for t in T.triangles]
+    points = junior_points(T)
+    coords = [tuple(points[i] for i in t) for t in T.triangles]
     total = sum(abs(det3(*t)) for t in coords)
     if total != 1:  # det3(e1, e2, e3)
         return False
@@ -1181,7 +1201,7 @@ def walls(A):
     characters (complements are deduplicated by the canonical choice)."""
     Q = build_mckay_quiver(A)
     m = Q.order
-    nontrivial = [v for v in range(m) if v != Q.trivial_vertex]
+    nontrivial = [v for v in range(m) if v != Q.table[0, 0]]
     out = []
     for size in range(1, m):
         for combo in itertools.combinations(nontrivial, size):
@@ -1194,7 +1214,7 @@ def wall_sign_vector(A, theta):
 
 
 def nef_cone_dimension(cone):
-    """dim of {h : rows.h >= 0} of a NefCone modulo the 3-dim affine gauge,
+    """dim of {h : rows.h >= 0} of a `NefCone` modulo the 3-dim affine gauge,
     by one LP per wall: a wall whose strict row is infeasible is an
     equality of the cone.  The solver looks for h >= 0; the wall rows sum
     to 0, so a constant shifts any h to one, and the verdicts are those
@@ -1347,3 +1367,141 @@ def _weld(g, p, star, welds):
     del star[p]
     welds.append((p, max(new, key=lambda t: abs(_grid_cross(*(g[i] for i in t))))))
     return True
+
+
+# ---------------------------------------------------------------------------
+# the paths no command reaches: membership of rational points, resolutions
+# and triangulations from rational points, one-parameter-subgroup limits
+# and the nef cone
+
+
+def is_member(L: Lattice, v) -> bool:
+    """True iff the rational point v lies in the library lattice L: its
+    coordinates times N = [L : Z^dim] are integers with their residue in
+    L."""
+    if len(v) != L.dim:
+        raise ValueError("dimension mismatch")
+    N = L.N
+    r = []
+    for c in v:
+        c = F(c)
+        if N % c.denominator:
+            return False
+        r.append(c.numerator * (N // c.denominator) % N)
+    return tuple(r) in L.residues
+
+
+def make_resolution(lattice: Lattice, rays) -> Resolution:
+    """The resolution with the given rational rays, validated by
+    `resolution_from_grid` on the rays times N.  A ray off the (1/N)-grid
+    scales to a pair with a non-integer entry, whose residue is in no
+    residue set, so it fails as "not a lattice point", in the same order of
+    checks as any other bad ray."""
+    N = lattice.N
+    grid = []
+    for r in rays:
+        U = tuple(F(x) * N for x in r)
+        grid.append(tuple(u.numerator if u.denominator == 1 else u for u in U))
+    return resolution_from_grid(lattice, grid)
+
+
+class NoLimitSupportError(RuntimeError):
+    """No stable support is feasible: u lies on a fan ray or theta on a wall."""
+
+
+def _limit_feasible(c: FixedConstellation, u) -> bool:
+    """Whether gauge potentials exist at u with e(a) = 0 on the support and
+    e(a) > 0 off it, strictness taken as e(a) >= 1.  The potentials are
+    fixed up to the gauge (see `FixedConstellation.normals`), so this is
+    min <u, d> >= 1 over the normals, and true when there are none.
+
+    Each normal is the exponent of an invariant monomial, so <u, d> is an
+    integer at u in N2 and >= 1 means > 0 there; at other rational u the
+    two differ, and the test stays >= 1."""
+    return all(u[0] * d[0] + u[1] * d[1] >= 1 for d in c.normals())
+
+
+def ps_limit(Q: McKayQuiver, theta: Theta, u) -> FixedConstellation:
+    """The limit constellation along the one-parameter subgroup u: the unique
+    stable support whose gauge potentials are feasible at u, the paper's
+    definition of the fan that the library replaced with the tiling by the
+    stable supports' cones.  u must be a point of the open quadrant in
+    `Q.N2`, the lattice of Q's action."""
+    u = tuple(F(x) for x in u)
+    if u[0] <= 0 or u[1] <= 0:
+        raise ValueError("u must lie in the open quadrant")
+    if not is_member(Q.N2, u):
+        raise ValueError("u must be a lattice point of N2")
+    if not is_generic(theta):
+        raise NonGenericThetaError("theta is on a wall")
+    feas = [c for c in enumerate_fixed_stable(Q, theta) if _limit_feasible(c, u)]
+    if not feas:
+        raise NoLimitSupportError(
+            "no feasible stable support: u on a fan ray or theta on a wall"
+        )
+    if len(feas) > 1:
+        raise ModuliFanError("multiple feasible supports at one u")
+    return feas[0]
+
+
+def _to_grid(p, N):
+    """The pair (N x, N y) of a junior-plane point (x, y, z) with rational
+    coordinates; ValueError if it is off the plane or off the (1/N)-grid."""
+    scaled = []
+    for c in p:
+        if N % c.denominator:
+            raise ValueError(f"{p} is off the (1/{N})-grid of the lattice")
+        scaled.append(c.numerator * (N // c.denominator))
+    X, Y, Z = scaled
+    if X + Y + Z != N:
+        raise ValueError(f"{p} is off the junior plane")
+    return X, Y
+
+
+def make_triangulation(lattice: Lattice, triangles) -> Triangulation:
+    """The triangulation with the given triangles of junior-plane points,
+    with no recorded insertions and the lattice's slice resolution;
+    ValueError if a point is off the plane or off the lattice's
+    (1/N)-grid."""
+    N = lattice.N
+    return _triangulation(lattice, [tuple(_to_grid(vec(*p), N) for p in t)
+                                    for t in triangles],
+                          (), slice_resolution(lattice))
+
+
+def junior_points(T):
+    """The junior-plane points (x, y, z) of T's grid pairs, in their order,
+    for a triangulation or a junior simplex."""
+    N = T.lattice.N
+    return tuple((F(X, N), F(Y, N), F(N - X - Y, N)) for X, Y in T.grid)
+
+
+def neighbors(T: Triangulation, point):
+    """The points joined to the junior-plane point `point` by an edge of T."""
+    idx = T.grid.index(_to_grid(vec(*point), T.lattice.N))
+    points = junior_points(T)
+    joined = {i for t in T.triangles if idx in t for i in t} - {idx}
+    return tuple(points[i] for i in sorted(joined))
+
+
+@dataclass(frozen=True)
+class NefCone:
+    """The cone of convex support functions on a triangulation, as weak wall
+    inequalities on the height space modulo affine-linear functions."""
+
+    triangulation: Triangulation = field(compare=False)
+    rows: tuple  # (edge, coefficient row over points)
+
+    def ambient_dim(self):
+        return len(self.triangulation.grid) - 3
+
+    def contains(self, heights, strict=False):
+        for _, r in self.rows:
+            v = sum(c * h for c, h in zip(r, heights))
+            if v < 0 or (strict and v == 0):
+                return False
+        return True
+
+
+def nef_cone(T: Triangulation) -> NefCone:
+    return NefCone(T, T.wall_rows)

@@ -24,7 +24,6 @@ from clab.quiver import (
     build_mckay_quiver,
     moduli_fan,
     moduli_fan_cones,
-    ps_limit,
 )
 from clab.surface import (
     boundary_divisor,
@@ -36,7 +35,14 @@ from clab.surface import (
 )
 from clab.thetaspace import sample_generic, verify_main_theorem
 
-from .oracles import lift_to_junior, pair_determinant, primitive_in_lattice, scaled
+from .oracles import (
+    lift_to_junior,
+    neighbors,
+    pair_determinant,
+    primitive_in_lattice,
+    ps_limit,
+    scaled,
+)
 
 
 def cyclic(n, a, b):
@@ -159,7 +165,7 @@ def test_criterion_5_triangulation_suite(capsys):
             assert is_basic(T)
             assert isinstance(regularity_certificate(T), PLSupportFunction)
             lifts = {lift_to_junior(J, v) for v in Y.rays}
-            assert set(T.neighbors_of(E3)) == lifts
+            assert set(neighbors(T, E3)) == lifts
             assert len(T.triangles) == A.order
             assert amp_restriction_surjective(T)
     elapsed = time.monotonic() - t0

@@ -84,7 +84,7 @@ def test_triangulate_trivial(capsys):
 
 
 def test_triangulate_min_max_skip_admissible_list(capsys, monkeypatch):
-    def refuse(N2):
+    def refuse(*args):
         raise AssertionError("admissible list built for a min/max selector")
 
     _context.cache_clear()
@@ -551,6 +551,35 @@ def test_repeated_verify_rescans_no_resolution(capsys, monkeypatch):
         budget=10000).to_json()
     assert {key: replies[0][key] for key in want} == want
     assert len(want["realizations"]) == 4
+
+
+def test_refused_requests_scan_each_ray_set_once(capsys, monkeypatch):
+    # the admissible sequences read the context's minimal and maximal
+    # resolutions, which stay kept when the sequences are refused
+    calls = []
+    for name in ("_minimal_rays", "_maximal_rays"):
+        real = getattr(clab.surface, name)
+        monkeypatch.setattr(clab.surface, name, lambda N2, name=name,
+                            real=real: calls.append(name) or real(N2))
+    _context.cache_clear()
+    refusal = ("error: too many optional rays (21) for the admissible "
+               "resolutions; at most 20 are served\n")
+    for _ in range(2):
+        code, _, err = run_cli(capsys, "--n", "69", "--gens", "1,22",
+                               "triangulate", "--resolution", "0")
+        assert (code, err) == (2, refusal)
+    assert sorted(calls) == ["_maximal_rays", "_minimal_rays"]
+
+
+def test_verify_leaves_no_subset_sum_table(capsys):
+    # a reply reports a realizing theta generic from the sampler's
+    # certificate; a second one would leave its table in the hand-off slot
+    code, out, _ = run_cli(capsys, "--n", "4", "--gens", "1,1;2,0", "verify",
+                           "--samples", "5", "--format", "json")
+    assert code == 0
+    assert clab.quiver._certified == (None, None)
+    realizations = json.loads(out)["realizations"]
+    assert all(r["generic"] == r["realized"] is True for r in realizations)
 
 
 def test_moduli_and_verify_share_the_context_quiver(capsys, monkeypatch):

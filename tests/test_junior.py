@@ -19,8 +19,6 @@ from clab.junior import (
     build_containing_triangulation,
     build_junior,
     is_basic,
-    make_triangulation,
-    nef_cone,
     regularity_certificate,
     slice_resolution,
 )
@@ -30,7 +28,6 @@ from clab.surface import (
     build_action,
     build_N2,
     enumerate_admissible_resolutions,
-    make_resolution,
     maximal_resolution,
     minimal_resolution,
 )
@@ -41,8 +38,13 @@ from .oracles import (
     covers_simplex,
     fraction_simplex,
     hnf_N3,
+    junior_points,
     lift_to_junior,
+    make_resolution,
+    make_triangulation,
+    nef_cone,
     nef_cone_dimension,
+    neighbors,
     points_in_triangle_by_fractions,
     project_p12,
     slice_resolution_by_stabilizer,
@@ -143,7 +145,7 @@ def test_containing_triangulation_one_third():
     T = build_containing_triangulation(J, Y)
     assert len(T.triangles) == 3
     b = vec(F(1, 3), F(1, 3), F(1, 3))
-    assert set(T.neighbors_of(b)) == {E1, E2, E3}
+    assert set(neighbors(T, b)) == {E1, E2, E3}
     assert is_basic(T) and covers_simplex(T)
 
 
@@ -161,7 +163,7 @@ def test_containing_triangulation_one_eighth_max():
     T = build_containing_triangulation(J, Y)
     assert len(T.triangles) == 8
     lifts = {lift_to_junior(J, v) for v in Y.rays}
-    assert set(T.neighbors_of(E3)) == lifts
+    assert set(neighbors(T, E3)) == lifts
     assert is_basic(T) and covers_simplex(T)
 
 
@@ -172,7 +174,7 @@ def test_containing_triangulation_one_eighth_min():
     T = build_containing_triangulation(J, Y)
     assert len(T.triangles) == 8
     lifts = {lift_to_junior(J, v) for v in Y.rays}
-    assert set(T.neighbors_of(E3)) == lifts
+    assert set(neighbors(T, E3)) == lifts
 
 
 def test_containing_triangulation_klein_four():
@@ -207,7 +209,7 @@ def test_containing_triangulation_rejects_lattice_mismatch():
         J = build_junior(A)
         for Y in enumerate_admissible_resolutions(build_N2(A)):
             T = build_containing_triangulation(J, Y)
-            assert set(T.neighbors_of(E3)) == \
+            assert set(neighbors(T, E3)) == \
                 {lift_to_junior(J, v) for v in Y.rays}
 
 
@@ -275,10 +277,10 @@ def test_regularity_refusal_on_spiral(monkeypatch):
     # re-check the Farkas combination mechanically: the wall rows sum to 0,
     # so the combination is exactly 0, a witness over free heights too
     rows = [(r, F(1)) for _, r in T.wall_rows]
-    assert check_farkas(len(T.points), [], rows, ref.farkas)
+    assert check_farkas(len(T.grid), [], rows, ref.farkas)
     comb = [sum(y * r[j] for y, (r, _) in zip(ref.farkas, rows))
-            for j in range(len(T.points))]
-    assert comb == [0] * len(T.points)
+            for j in range(len(T.grid))]
+    assert comb == [0] * len(T.grid)
     assert sum(ref.farkas) > 0
 
 
@@ -365,7 +367,7 @@ def test_nef_cone_full_dimensional_when_regular():
     J = build_junior(A)
     T = build_containing_triangulation(J, maximal_resolution(build_N2(A)))
     cone = nef_cone(T)
-    assert cone.ambient_dim() == len(T.points) - 3 == 5
+    assert cone.ambient_dim() == len(T.grid) - 3 == 5
     assert nef_cone_dimension(cone) == 5
 
 
@@ -401,10 +403,12 @@ def test_triangulations_carry_the_slice_their_group_keeps(monkeypatch):
     W = J.slice
     Ts = [build_containing_triangulation(J, Y)
           for Y in enumerate_admissible_resolutions(build_N2(A))[::5]]
-    # a triangulation made from its triangles alone reads the lattice
+    # a triangulation made from its triangles alone carries the lattice's
+    # slice resolution, built anew
+    points = junior_points(Ts[0])
     twin = make_triangulation(
-        J.lattice, [[Ts[0].points[i] for i in t] for t in Ts[0].triangles])
-    assert twin.slice is None
+        J.lattice, [[points[i] for i in t] for t in Ts[0].triangles])
+    assert twin.slice == W and twin.slice is not W
     assert junior._slice_edge(twin) == junior._slice_edge(Ts[0])
 
     def rebuilt(N3):
@@ -458,7 +462,7 @@ def test_containing_triangulation_invariants(n, a, b):
         assert is_basic(T)
         assert len(T.triangles) == A.order
         lifts = {lift_to_junior(J, v) for v in Y.rays}
-        assert set(T.neighbors_of(E3)) == lifts
+        assert set(neighbors(T, E3)) == lifts
         assert covers_simplex(T)
 
 
@@ -662,8 +666,9 @@ def test_insertions_do_not_change_equality():
     A = build_action(8, [(1, 3)])
     J = build_junior(A)
     T = build_containing_triangulation(J, maximal_resolution(build_N2(A)))
+    points = junior_points(T)
     twin = make_triangulation(
-        J.lattice, [[T.points[i] for i in t] for t in T.triangles])
+        J.lattice, [[points[i] for i in t] for t in T.triangles])
     assert T.insertions and twin.insertions == ()
     assert T == twin and hash(T) == hash(twin)
 
@@ -851,15 +856,16 @@ def test_wall_rows_are_area_scaled_barycentric_rows():
     N = J.lattice.N
     for Y in enumerate_admissible_resolutions(build_N2(A))[::7]:
         T = build_containing_triangulation(J, Y)
-        assert T.points == J.points
+        points = junior_points(T)
+        assert points == J.points
         e2t = T.edge_triangles()
         for (a_i, b_i), row in T.wall_rows:
             t1, t2 = e2t[(a_i, b_i)]
             c_i = next(i for i in t1 if i not in (a_i, b_i))
             d_i = next(i for i in t2 if i not in (a_i, b_i))
             la, lb, lc = oracles._barycentric(
-                *(T.points[i] for i in (d_i, a_i, b_i, c_i)))
-            expected = [0] * len(T.points)
+                *(points[i] for i in (d_i, a_i, b_i, c_i)))
+            expected = [0] * len(T.grid)
             expected[d_i], expected[a_i], expected[b_i], expected[c_i] = (
                 N, -la * N, -lb * N, -lc * N)
             assert list(row) == expected

@@ -1,12 +1,15 @@
 import ast
+import contextlib
 import importlib
 import inspect
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import clab
+from clab import cli, quiver
 
 SRC = Path(clab.__file__).parent
 
@@ -158,4 +161,57 @@ def test_tracer_names_are_traced_functions():
 
 
 RETIRED_TRACER_NAMES = {"linprog.project", "lattice.lattice_points_in_triangle",
-                        "lattice.primitive_in_lattice"}
+                        "lattice.primitive_in_lattice", "lattice.is_member",
+                        "surface.make_resolution"}
+
+
+# exported functions that no command calls, each kept for its reason
+UNREACHED_EXPORTS = {
+    # the library entry point of the audit that `verify` runs on the
+    # resolutions its per-group context keeps (README)
+    "verify_main_theorem",
+    # the admissible resolutions as one tuple, the README's entry point; the
+    # commands decode the context's sequences by index instead
+    "enumerate_admissible_resolutions",
+    # the benchmark tracer (perfbench/tracing.py) reads its cache_info();
+    # it leaves with that reader
+    "enumerate_fixed_stable",
+}
+# 1/8(1,3) and 1/4(1,1;2,0), both of order 8: a theta with a lone -7 is
+# generic, and one with a zero entry is on a wall
+REACH_GROUPS = (("--n", "8", "--gens", "1,3"), ("--n", "4", "--gens", "1,1;2,0"))
+REACH_THETAS = ("-7,1,1,1,1,1,1,1", "-1,1,0,0,0,0,0,0")
+
+
+def test_every_exported_function_is_reached_by_a_command():
+    # every command in every format, and `moduli` at a generic theta and at
+    # one on a wall, through `main`, on cold caches: an exported function
+    # that none of them calls belongs in tests/oracles.py, or on the list
+    argvs = [(*group, command, "--format", fmt, "--samples", "3")
+             for group in REACH_GROUPS for command in cli.COMMANDS
+             for fmt in cli.FORMATS]
+    argvs += [(*group, "moduli", f"--theta={theta}")
+              for group in REACH_GROUPS for theta in REACH_THETAS]
+    cli._context.cache_clear()
+    quiver.fixed_candidates.cache_clear()
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    codes = set()
+    with (contextlib.redirect_stdout(io.StringIO()),
+          contextlib.redirect_stderr(io.StringIO())):
+        sys.setprofile(profile)
+        try:
+            for argv in argvs:
+                codes.add(cli.main(list(argv)))
+        finally:
+            sys.setprofile(None)
+    assert codes == {0, 2}  # 2: a format a command does not draw, the wall
+    functions = {name: inspect.unwrap(getattr(clab, name))
+                 for name in clab.__all__}
+    unreached = {name for name, fn in functions.items()
+                 if inspect.isfunction(fn) and fn.__code__ not in called}
+    assert unreached == UNREACHED_EXPORTS

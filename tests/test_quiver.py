@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from clab.lattice import vec
 from clab.quiver import (
     ARROW_STEP,
-    NoLimitSupportError,
     NonGenericThetaError,
     build_mckay_quiver,
     enumerate_fixed_stable,
@@ -19,12 +18,12 @@ from clab.quiver import (
     make_theta,
     moduli_fan,
     moduli_fan_cones,
-    ps_limit,
 )
-from clab.quiver import _limit_feasible
 from clab.surface import build_action, build_N2, is_small, minimal_resolution
 
 from .oracles import (
+    NoLimitSupportError,
+    _limit_feasible,
     character_table_mod_n,
     characters_by_annihilator,
     fixed_candidates_by_filter,
@@ -32,6 +31,7 @@ from .oracles import (
     hnf_N2,
     lp_limit_feasible,
     principal_closures,
+    ps_limit,
     scaled,
     stable_by_masks,
     theta_of_masks,
@@ -64,7 +64,7 @@ def test_character_table_matches_annihilator_cosets():
         Q = build_mckay_quiver(A)
         vertices, canon = characters_by_annihilator(A)
         assert Q.vertices == vertices, group
-        assert Q.trivial_vertex == vertices.index(canon(0, 0)) == 0
+        assert Q.table[0, 0] == vertices.index(canon(0, 0)) == 0
         n = A.n
         for u in range(-n, 2 * n):
             for v in range(-n, 2 * n):
@@ -111,7 +111,7 @@ def test_quiver_one_eighth_shifts():
     for _ in range(8):
         chain_x.append(Q.arrow_head(chain_x[-1], "x"))
     assert len(set(chain_x[:-1])) == 8 and chain_x[-1] == chain_x[0]
-    v0 = Q.trivial_vertex
+    v0 = Q.table[0, 0]
     y1 = Q.arrow_head(v0, "y")
     x3 = v0
     for _ in range(3):
@@ -522,7 +522,7 @@ def test_g_hilb_chamber_gives_minimal_resolution():
     for A in groups:
         Q = build_mckay_quiver(A)
         m = Q.order
-        theta = make_theta([-(m - 1) if v == Q.trivial_vertex else 1
+        theta = make_theta([-(m - 1) if v == Q.table[0, 0] else 1
                             for v in range(m)])
         assert is_generic(theta), A
         N2 = build_N2(A)

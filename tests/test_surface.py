@@ -16,7 +16,6 @@ from clab.surface import (
     enumerate_admissible_resolutions,
     is_dominated_by_max,
     is_small,
-    make_resolution,
     maximal_resolution,
     minimal_resolution,
     resolution_from_grid,
@@ -30,6 +29,7 @@ from .oracles import (
     hj_minimal_rays,
     hnf_N2,
     hnf_N3,
+    make_resolution,
     make_resolution_by_fractions,
     maximal_rays_by_primitive_filter,
     minimal_rays_by_fractions,
@@ -75,7 +75,8 @@ def test_is_small():
 def test_small_iff_boundary_divisor_zero():
     for A in [cyclic(8, 1, 3), cyclic(2, 1, 0), cyclic(4, 0, 1),
               build_action(2, [(1, 1), (1, 0)]), cyclic(6, 1, 5)]:
-        assert is_small(A) == boundary_divisor(build_N2(A)).is_zero
+        B = boundary_divisor(build_N2(A))
+        assert is_small(A) == ((B.m1, B.m2) == (1, 1))
 
 
 def test_build_N2_congruence():
@@ -83,7 +84,7 @@ def test_build_N2_congruence():
                      (cyclic(2, 1, 0), ((F(1, 2), F(0)), (F(0), F(1))))):
         assert hnf_N2(A).basis == basis
         assert build_N2(A) == lattice_from_generators(2, basis)
-    assert build_N2(build_action(1, [])).index == 1
+    assert build_N2(build_action(1, [])).N == 1
 
 
 def test_boundary_divisor_reflection():
@@ -93,8 +94,9 @@ def test_boundary_divisor_reflection():
 
 
 def test_boundary_divisor_small_and_trivial():
-    assert boundary_divisor(build_N2(cyclic(8, 1, 3))).is_zero
-    assert boundary_divisor(build_N2(build_action(1, []))).is_zero
+    for A in (cyclic(8, 1, 3), build_action(1, [])):
+        B = boundary_divisor(build_N2(A))
+        assert (B.m1, B.m2) == (1, 1)
 
 
 def test_boundary_divisor_matches_fraction_primitive_points():
@@ -274,7 +276,8 @@ def test_admissible_by_blowups_equal_subset_enumeration():
     # n <= 30)
     for group in CYCLIC_30 + TWO_GENERATORS + COLD_GROUPS + TRIANGULATE_GROUPS:
         N2 = build_N2(build_action(*group))
-        seqs = AdmissibleSequences(N2)
+        seqs = AdmissibleSequences(minimal_resolution(N2),
+                                   maximal_resolution(N2))
         expected = admissible_by_sorted_product(N2)
         k = len(expected)
         assert len(seqs) == k, group
@@ -287,7 +290,8 @@ def test_admissible_by_blowups_equal_subset_enumeration():
     for group in CYCLIC_30 + TWO_GENERATORS:
         N2 = build_N2(build_action(*group))
         expected = [scaled(Y.rays, N2.N) for Y in admissible_by_subsets(N2)]
-        assert list(AdmissibleSequences(N2)) == expected, group
+        assert list(AdmissibleSequences(minimal_resolution(N2),
+                                        maximal_resolution(N2))) == expected, group
     for group in COLD_GROUPS + TRIANGULATE_GROUPS:
         N2 = build_N2(build_action(*group))
         assert enumerate_admissible_resolutions(N2) == admissible_by_subsets(N2), group

@@ -20,7 +20,6 @@ from clab.surface import (
     build_action,
     build_N2,
     enumerate_admissible_resolutions,
-    make_resolution,
     minimal_resolution,
 )
 from clab.thetaspace import (
@@ -31,7 +30,13 @@ from clab.thetaspace import (
 )
 from fractions import Fraction as F
 
-from .oracles import sample_by_randint, stable_by_masks, wall_sign_vector, walls
+from .oracles import (
+    make_resolution,
+    sample_by_randint,
+    stable_by_masks,
+    wall_sign_vector,
+    walls,
+)
 
 
 def cyclic(n, a, b):
